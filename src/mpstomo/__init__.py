@@ -6,7 +6,6 @@ doubles as a target-free fidelity estimator once its convergence constant
 is calibrated by virtual tomography.
 """
 
-from .config import ExperimentConfig, load_config
 from .errors import (
     DegenerateStateError,
     EstimateOutOfRegime,
@@ -32,9 +31,6 @@ from .measurement import (
     Dataset,
     MeasurementBasis,
     Shot,
-    draw_noisy_shot,
-    draw_noisy_shots,
-    draw_shot,
     draw_shots,
     fixed_bases,
     measure_batch,
@@ -68,12 +64,16 @@ from .states import TargetSpec, build_target, cluster_state, dimer_state, random
 from .training import (
     BondObjective,
     LossReport,
-    TrainConfig,
     loss_with_penalty,
     nll,
     sweep,
     train_stage,
     two_site_gradient,
 )
+# config comes last.  Imported first, it put scipy's import under its module
+# frame, at a data-stack depth where CPython 3.11 maps and unmaps a frame
+# chunk over and over while scipy compiles its regexes: about 5000 extra
+# page faults per interpreter start, 10-25% of the benchmark's set-up time.
+from .config import ExperimentConfig, TrainConfig, load_config
 
 __version__ = "0.1.0"

@@ -7,14 +7,102 @@ Blank lines and ``#`` comments are ignored.  Unknown keys are an error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
+from functools import cache
 from pathlib import Path
+from typing import get_args, get_type_hints
+
+import numpy as np
 
 from .errors import FormatError, ParameterError
 from .states import TargetSpec
-from .training import TrainConfig
 
-__all__ = ["ExperimentConfig", "parse_config_text", "load_config", "config_to_text", "replace"]
+__all__ = [
+    "ExperimentConfig",
+    "TrainConfig",
+    "build_experiment_config",
+    "config_to_text",
+    "load_config",
+    "parse_config_text",
+    "scalar_fields",
+]
+
+
+@cache
+def scalar_fields(cls) -> dict[str, type]:
+    """Scalar fields of a dataclass in declaration order, each with the type
+    its text form parses to (``X | None`` parses as X).  Fields of any other
+    type (nested configs, in-memory targets) are left out."""
+    hints = get_type_hints(cls)
+    out = {}
+    for f in fields(cls):
+        typ = next((a for a in get_args(hints[f.name]) if a is not type(None)), hints[f.name])
+        if typ in (bool, int, float, str):
+            out[f.name] = typ
+    return out
+
+
+def _require_finite(cfg) -> None:
+    for name, typ in scalar_fields(type(cfg)).items():
+        value = getattr(cfg, name)
+        if typ is float and value is not None and not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value!r}")
+
+
+@dataclass
+class TrainConfig:
+    """Optimizer hyperparameters for the two-site sweeps.
+
+    ``eta`` is the fixed relative SVD truncation floor.  When ``eta_noise``
+    is positive, each bond additionally prunes singular values below
+    eta_noise * sqrt((D1 q + q D2) / (2 |V|)), capped at ``eta_cap``: the
+    statistical magnitude that pure sampling noise induces on the merged
+    tensor's singular values.  This is what lets the bond dimensions settle
+    at the target's rank instead of absorbing shot noise; set eta_noise = 0
+    to truncate at the fixed floor only.
+    """
+
+    lambda0: float = 0.01
+    lambda_decay: float = 0.9
+    step_size: float = 0.05
+    step_backoff: float = 0.5
+    grad_steps_per_bond: int = 10
+    sweeps_per_stage: int = 20
+    d_cap: int = 32
+    eta: float = 1e-7
+    psi_floor: float = 1e-12
+    convergence_tol: float = 1e-4
+    eta_noise: float = 0.0
+    eta_cap: float = 0.12
+
+    def validate(self) -> None:
+        _require_finite(self)
+        if self.lambda0 < 0:
+            raise ParameterError("lambda0 must be finite and >= 0")
+        if not 0.0 < self.lambda_decay < 1.0:
+            raise ParameterError("lambda_decay must lie in (0, 1)")
+        if self.step_size < 0:
+            raise ParameterError("step_size must be >= 0")
+        if not 0.0 < self.step_backoff < 1.0:
+            raise ParameterError("step_backoff must lie in (0, 1)")
+        if self.grad_steps_per_bond < 0 or self.sweeps_per_stage < 1:
+            raise ParameterError("need grad_steps_per_bond >= 0, sweeps_per_stage >= 1")
+        if self.d_cap < 1 or self.eta < 0:
+            raise ParameterError("need d_cap >= 1 and eta >= 0")
+        if not 0.0 < self.psi_floor <= 1e-8:
+            raise ParameterError("psi_floor must lie in (0, 1e-8]")
+        if self.convergence_tol <= 0:
+            raise ParameterError("convergence_tol must be > 0")
+        if self.eta_noise < 0 or not 0.0 < self.eta_cap <= 1.0:
+            raise ParameterError("need eta_noise >= 0 and eta_cap in (0, 1]")
+
+    def bond_eta(self, d1, q, d2, n_shots) -> float:
+        """Effective truncation threshold at one bond for ``n_shots`` samples."""
+        if self.eta_noise == 0.0:
+            return self.eta
+        noise = self.eta_noise * np.sqrt((d1 * q + q * d2) / (2.0 * n_shots))
+        return max(self.eta, min(self.eta_cap, noise))
 
 
 @dataclass
@@ -47,6 +135,7 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.target is None:
             raise ParameterError("no target configured")
+        _require_finite(self)
         if not 0.0 < self.fidelity_threshold < 1.0:
             raise ParameterError("fidelity_threshold must lie in (0, 1)")
         if self.batch_initial < 1 or self.batch_growth < 1.0:
@@ -91,26 +180,14 @@ def parse_config_text(text, path="<config>") -> dict[str, str]:
     return out
 
 
-_TARGET_KEYS = {"kind": str, "n": int, "theta": float, "d_max": int, "seed": int}
-_TOP_TYPES = {
-    "fidelity_threshold": float,
-    "batch_initial": int,
-    "batch_growth": float,
-    "batch_max": int,
-    "max_replicas": int,
-    "noise_epsilon": float,
-    "virtual_runs": int,
-    "seed": int,
-    "output_dir": str,
-    "blind": bool,
-    "stop_on_threshold": bool,
-    "init_bond_dim": int,
-    "c_estimate": float,
-    "save_shots": bool,
-}
-_TRAIN_TYPES = {
-    f.name: (int if f.type == "int" else float) for f in fields(TrainConfig)
-}
+# config key prefix -> the dataclass whose scalar fields it holds
+_SECTIONS = {"train.": TrainConfig, "target.": TargetSpec, "": ExperimentConfig}
+_KEY_ALIASES = {"n_sites": "n"}  # TargetSpec.n_sites is written target.n
+
+
+def _keys(cls) -> dict[str, tuple[str, type]]:
+    """Config key (after its section prefix) -> (field name, value type)."""
+    return {_KEY_ALIASES.get(name, name): (name, typ) for name, typ in scalar_fields(cls).items()}
 
 
 def build_experiment_config(mapping, base=None) -> ExperimentConfig:
@@ -120,36 +197,28 @@ def build_experiment_config(mapping, base=None) -> ExperimentConfig:
     target_kv = {}
     target_path = None
     for key, raw in mapping.items():
-        if key.startswith("train."):
-            name = key[len("train.") :]
-            if name not in _TRAIN_TYPES:
-                raise ParameterError(f"unknown config key {key!r}")
-            setattr(cfg.train, name, _coerce(raw, _TRAIN_TYPES[name], key))
-        elif key == "target.path":
+        if key == "target.path":
             target_path = raw.strip()
-        elif key.startswith("target."):
-            name = key[len("target.") :]
-            if name not in _TARGET_KEYS:
-                raise ParameterError(f"unknown config key {key!r}")
-            target_kv[name] = _coerce(raw, _TARGET_KEYS[name], key)
-        elif key in _TOP_TYPES:
-            setattr(cfg, key, _coerce(raw, _TOP_TYPES[key], key))
-        else:
+            continue
+        prefix = next(p for p in _SECTIONS if key.startswith(p))
+        cls = _SECTIONS[prefix]
+        entry = _keys(cls).get(key[len(prefix) :])
+        if entry is None:
             raise ParameterError(f"unknown config key {key!r}")
+        name, typ = entry
+        value = _coerce(raw, typ, key)
+        if cls is TargetSpec:
+            target_kv[name] = value
+        else:
+            setattr(cfg.train if cls is TrainConfig else cfg, name, value)
     if target_path is not None:
         if target_kv:
             raise ParameterError("give either target.path or target.* fields, not both")
         cfg.target = target_path
     elif target_kv:
-        if "kind" not in target_kv or "n" not in target_kv:
+        if "kind" not in target_kv or "n_sites" not in target_kv:
             raise ParameterError("target needs at least target.kind and target.n")
-        cfg.target = TargetSpec(
-            kind=target_kv["kind"],
-            n_sites=target_kv["n"],
-            theta=target_kv.get("theta", 0.0),
-            d_max=target_kv.get("d_max", 1),
-            seed=target_kv.get("seed", 0),
-        )
+        cfg.target = TargetSpec(**target_kv)
     return cfg
 
 
@@ -158,31 +227,27 @@ def load_config(path, base=None) -> ExperimentConfig:
     return build_experiment_config(parse_config_text(text, str(path)), base)
 
 
+def _section_lines(prefix, obj) -> list[str]:
+    lines = []
+    for key, (name, typ) in _keys(type(obj)).items():
+        value = getattr(obj, name)
+        if value is None:
+            continue
+        if typ is bool:
+            value = "true" if value else "false"
+        elif typ is float:
+            value = repr(float(value))
+        lines.append(f"{prefix}{key} = {value}")
+    return lines
+
+
 def config_to_text(cfg) -> str:
     """Serialize a config back to the flat format (target paths as-is)."""
     lines = []
     if isinstance(cfg.target, TargetSpec):
-        t = cfg.target
-        lines += [
-            f"target.kind = {t.kind}",
-            f"target.n = {t.n_sites}",
-            f"target.theta = {t.theta!r}",
-            f"target.d_max = {t.d_max}",
-            f"target.seed = {t.seed}",
-        ]
+        lines += _section_lines("target.", cfg.target)
     elif isinstance(cfg.target, (str, Path)):
         lines.append(f"target.path = {cfg.target}")
-    for key, typ in _TOP_TYPES.items():
-        val = getattr(cfg, key)
-        if val is None:
-            continue
-        if typ is bool:
-            val = "true" if val else "false"
-        elif typ is float:
-            val = repr(float(val))
-        lines.append(f"{key} = {val}")
-    for name in _TRAIN_TYPES:
-        val = getattr(cfg.train, name)
-        val = repr(float(val)) if isinstance(val, float) else str(val)
-        lines.append(f"train.{name} = {val}")
+    lines += _section_lines("", cfg)
+    lines += _section_lines("train.", cfg.train)
     return "\n".join(lines) + "\n"

@@ -20,10 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateStateError, FormatError, ParameterError
+from .mps import outcome_indices
 from .rotations import rotation_matrices
-
-# re-exported here because rotations are part of the measurement surface
-from .rotations import rotation_matrix, wigner_d, wigner_d_matrix  # noqa: F401
 
 _MASS_FLOOR = 1e-14
 
@@ -119,9 +117,7 @@ class Dataset:
     def append(self, shot: Shot) -> None:
         if shot.basis.n_sites != self.n_sites:
             raise ParameterError("shot length does not match dataset")
-        idx = np.rint(self.spin - shot.outcomes).astype(np.int64)
-        if np.any(idx < 0) or np.any(idx >= self.local_dim):
-            raise ParameterError("outcome out of range for this dataset")
+        idx = outcome_indices(shot.outcomes, self.local_dim)
         self.extend_raw(
             shot.basis.thetas[None, :], shot.basis.phis[None, :], idx[None, :]
         )
@@ -164,7 +160,7 @@ class Dataset:
 
     @classmethod
     def from_file(cls, path, local_dim) -> "Dataset":
-        rows = []
+        rows, line_numbers = [], []
         with open(path) as f:
             for ln, line in enumerate(f, start=1):
                 line = line.strip()
@@ -177,17 +173,30 @@ class Dataset:
                     tm = [int(t[2]) for t in triples]
                 except (ValueError, IndexError) as exc:
                     raise FormatError(f"{path}: line {ln}: {exc}") from exc
+                if rows and len(tm) != len(rows[0][2]):
+                    raise FormatError(
+                        f"{path}: line {ln}: {len(tm)} sites, expected {len(rows[0][2])}"
+                    )
                 rows.append((th, ph, tm))
+                line_numbers.append(ln)
         if not rows:
             raise FormatError(f"{path}: no shots")
-        n_sites = len(rows[0][0])
-        ds = cls(n_sites, local_dim)
         thetas = np.array([r[0] for r in rows])
         phis = np.array([r[1] for r in rows])
-        idx = ((local_dim - 1) - np.array([r[2] for r in rows])) // 2
-        if np.any(idx < 0) or np.any(idx >= local_dim):
-            raise FormatError(f"{path}: outcome out of range for q={local_dim}")
-        ds.extend_raw(thetas, phis, idx)
+        twice_m = np.array([r[2] for r in rows])
+        offset = (local_dim - 1) - twice_m  # 2 p, even for a valid 2m
+
+        def require(ok, what):
+            bad = np.flatnonzero(~ok.all(axis=1))
+            if bad.size:
+                raise FormatError(f"{path}: line {line_numbers[bad[0]]}: {what}")
+
+        require(np.isfinite(thetas) & np.isfinite(phis), "non-finite angle")
+        require(offset % 2 == 0, f"2m must have the parity of q - 1 = {local_dim - 1}")
+        require((offset >= 0) & (offset <= 2 * (local_dim - 1)),
+                f"outcome out of range for q={local_dim}")
+        ds = cls(thetas.shape[1], local_dim)
+        ds.extend_raw(thetas, phis, offset // 2)
         return ds
 
 
@@ -288,49 +297,32 @@ def _sample_outcome_indices(target, unitaries, count, rng) -> np.ndarray:
     return out
 
 
-def draw_shots(target, basis, count, rng) -> Dataset:
+def draw_shots(target, basis, count, rng, epsilon=0.0) -> Dataset:
     """Sample ``count`` independent shots with outcome probability equal to the
     squared rotated amplitude.  ``basis`` is a single MeasurementBasis applied
-    to every shot, or a (thetas, phis) pair of (count, N) arrays."""
-    n = target.n_sites
-    thetas, phis = _broadcast_angles(basis, count, n)
-    unitaries = _site_unitaries(basis, thetas, phis, target.spin)
-    idx = _sample_outcome_indices(target, unitaries, count, rng)
-    ds = Dataset(n, target.local_dim)
-    ds.extend_raw(np.array(thetas), np.array(phis), idx)
-    return ds
+    to every shot, or a (thetas, phis) pair of (count, N) arrays.
 
-
-def draw_shot(target, basis, rng) -> Shot:
-    return draw_shots(target, basis, 1, rng).shot(0)
-
-
-def draw_noisy_shots(target, basis, count, epsilon, rng) -> Dataset:
-    """Depolarized sampling: with probability epsilon a shot's outcomes are
-    replaced by a uniformly random string, otherwise it follows the state."""
+    Depolarizing noise: with probability ``epsilon`` a shot's outcomes are
+    replaced by a uniformly random string.  The noise mask is drawn before
+    the outcomes, and only when epsilon > 0, so epsilon = 0 consumes the
+    random stream exactly like noiseless sampling.
+    """
     if not 0.0 <= epsilon <= 1.0:
         raise ParameterError("epsilon must lie in [0, 1]")
-    if epsilon == 0.0:
-        return draw_shots(target, basis, count, rng)
     n, q = target.n_sites, target.local_dim
     thetas, phis = _broadcast_angles(basis, count, n)
     unitaries = _site_unitaries(basis, thetas, phis, target.spin)
-    noisy = rng.random(count) < epsilon
+    noisy = rng.random(count) < epsilon if epsilon > 0.0 else None
     idx = _sample_outcome_indices(target, unitaries, count, rng)
-    n_noisy = int(noisy.sum())
-    if n_noisy:
-        idx[noisy] = rng.integers(0, q, size=(n_noisy, n))
+    if noisy is not None and noisy.any():
+        idx[noisy] = rng.integers(0, q, size=(int(noisy.sum()), n))
     ds = Dataset(n, q)
     ds.extend_raw(np.array(thetas), np.array(phis), idx)
     return ds
-
-
-def draw_noisy_shot(target, basis, epsilon, rng) -> Shot:
-    return draw_noisy_shots(target, basis, 1, epsilon, rng).shot(0)
 
 
 def measure_batch(target, count, epsilon, rng) -> Dataset:
     """One accumulation step of the scheme: ``count`` shots, each in a fresh
     uniformly random product basis, with depolarizing noise ``epsilon``."""
     bases = sample_bases(count, target.n_sites, rng)
-    return draw_noisy_shots(target, bases, count, epsilon, rng)
+    return draw_shots(target, bases, count, rng, epsilon)

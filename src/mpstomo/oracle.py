@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, PartialReconstructionError, ResourceError
-from .measurement import fixed_bases
+from .measurement import fixed_bases, sample_basis
 from .mps import DENSE_LIMIT, outcome_indices
 from .rotations import rotation_matrices
 
@@ -97,8 +97,6 @@ def kl_divergence(p_state, q_state, n_basis_samples, rng) -> float:
         raise ParameterError("states differ in shape")
     if n_basis_samples < 1:
         raise ParameterError("need at least one sampled basis")
-    from .measurement import sample_basis
-
     total = 0.0
     for _ in range(n_basis_samples):
         basis = sample_basis(p_state.n_sites, rng)

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, config_to_text
+from .config import ExperimentConfig, config_to_text, parse_config_text, scalar_fields
 from .errors import EstimateOutOfRegime, FormatError, ParameterError
 from .estimation import (
     StageRecord,
@@ -31,19 +31,6 @@ from .measurement import Dataset, measure_batch
 from .mps import MatrixProductState, load_mps, random_init
 from .states import TargetSpec, build_target
 from .training import train_stage, write_loss_history
-
-_HISTORY_COLUMNS = (
-    "stage",
-    "replicas",
-    "nll",
-    "r_real",
-    "r_succ",
-    "f_true",
-    "f_est",
-    "c_est",
-    "alpha_real",
-    "alpha_succ",
-)
 
 
 def resolve_target(target) -> MatrixProductState:
@@ -140,65 +127,46 @@ def _fmt(value):
     return str(value)
 
 
+def _history_header() -> tuple[str, ...]:
+    return ("stage", *scalar_fields(StageRecord))
+
+
 def write_history(path, history) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(_HISTORY_COLUMNS)
+        writer.writerow(_history_header())
         for i, rec in enumerate(history):
-            writer.writerow(
-                [
-                    i,
-                    rec.replicas,
-                    _fmt(rec.nll),
-                    _fmt(rec.r_real),
-                    _fmt(rec.r_succ),
-                    _fmt(rec.f_true),
-                    _fmt(rec.f_est),
-                    _fmt(rec.c_est),
-                    _fmt(rec.alpha_real),
-                    _fmt(rec.alpha_succ),
-                ]
-            )
+            values = (getattr(rec, name) for name in scalar_fields(StageRecord))
+            writer.writerow([i, *map(_fmt, values)])
 
 
 def read_history(path) -> list[StageRecord]:
-    def parse(raw, typ, ln):
-        if raw == "":
-            return None
-        try:
-            return typ(raw)
-        except ValueError as exc:
-            raise FormatError(f"{path}: line {ln}: bad field {raw!r}") from exc
-
+    types = scalar_fields(StageRecord)
+    required = {f.name for f in fields(StageRecord) if f.default is MISSING}
+    header = _history_header()
     history = []
     with open(path, newline="") as f:
         reader = csv.reader(f)
         try:
-            header = next(reader)
+            first = next(reader)
         except StopIteration:
             raise FormatError(f"{path}: line 1: empty history") from None
-        if tuple(header) != _HISTORY_COLUMNS:
-            raise FormatError(f"{path}: line 1: unexpected header {header}")
+        if tuple(first) != header:
+            raise FormatError(f"{path}: line 1: unexpected header {first}")
         for ln, row in enumerate(reader, start=2):
-            if len(row) != len(_HISTORY_COLUMNS):
-                raise FormatError(f"{path}: line {ln}: expected {len(_HISTORY_COLUMNS)} fields")
-            replicas = parse(row[1], int, ln)
-            nll = parse(row[2], float, ln)
-            if replicas is None or nll is None:
-                raise FormatError(f"{path}: line {ln}: replicas and nll are mandatory")
-            history.append(
-                StageRecord(
-                    replicas=replicas,
-                    nll=nll,
-                    r_real=parse(row[3], float, ln),
-                    r_succ=parse(row[4], float, ln),
-                    f_true=parse(row[5], float, ln),
-                    f_est=parse(row[6], float, ln),
-                    c_est=parse(row[7], float, ln),
-                    alpha_real=parse(row[8], float, ln),
-                    alpha_succ=parse(row[9], float, ln),
-                )
-            )
+            if len(row) != len(header):
+                raise FormatError(f"{path}: line {ln}: expected {len(header)} fields")
+            values = {}
+            for (name, typ), raw in zip(types.items(), row[1:]):
+                if raw == "":
+                    if name in required:
+                        raise FormatError(f"{path}: line {ln}: {name} is mandatory")
+                    continue
+                try:
+                    values[name] = typ(raw)
+                except ValueError as exc:
+                    raise FormatError(f"{path}: line {ln}: bad field {raw!r}") from exc
+            history.append(StageRecord(**values))
     return history
 
 
@@ -304,8 +272,6 @@ def _read_run_dir(path):
     meta = {}
     cfg_file = path / "run.cfg"
     if cfg_file.exists():
-        from .config import parse_config_text
-
         meta = parse_config_text(cfg_file.read_text(), str(cfg_file))
     return history, meta
 

@@ -31,60 +31,6 @@ from .rotations import rotation_matrices
 
 
 @dataclass
-class TrainConfig:
-    """Optimizer hyperparameters for the two-site sweeps.
-
-    ``eta`` is the fixed relative SVD truncation floor.  When ``eta_noise``
-    is positive, each bond additionally prunes singular values below
-    eta_noise * sqrt((D1 q + q D2) / (2 |V|)), capped at ``eta_cap``: the
-    statistical magnitude that pure sampling noise induces on the merged
-    tensor's singular values.  This is what lets the bond dimensions settle
-    at the target's rank instead of absorbing shot noise; set eta_noise = 0
-    to truncate at the fixed floor only.
-    """
-
-    lambda0: float = 0.01
-    lambda_decay: float = 0.9
-    step_size: float = 0.05
-    step_backoff: float = 0.5
-    grad_steps_per_bond: int = 10
-    sweeps_per_stage: int = 20
-    d_cap: int = 32
-    eta: float = 1e-7
-    psi_floor: float = 1e-12
-    convergence_tol: float = 1e-4
-    eta_noise: float = 0.0
-    eta_cap: float = 0.12
-
-    def validate(self) -> None:
-        if self.lambda0 < 0 or not np.isfinite(self.lambda0):
-            raise ParameterError("lambda0 must be finite and >= 0")
-        if not 0.0 < self.lambda_decay < 1.0:
-            raise ParameterError("lambda_decay must lie in (0, 1)")
-        if self.step_size < 0:
-            raise ParameterError("step_size must be >= 0")
-        if not 0.0 < self.step_backoff < 1.0:
-            raise ParameterError("step_backoff must lie in (0, 1)")
-        if self.grad_steps_per_bond < 0 or self.sweeps_per_stage < 1:
-            raise ParameterError("need grad_steps_per_bond >= 0, sweeps_per_stage >= 1")
-        if self.d_cap < 1 or self.eta < 0:
-            raise ParameterError("need d_cap >= 1 and eta >= 0")
-        if not 0.0 < self.psi_floor <= 1e-8:
-            raise ParameterError("psi_floor must lie in (0, 1e-8]")
-        if self.convergence_tol <= 0:
-            raise ParameterError("convergence_tol must be > 0")
-        if self.eta_noise < 0 or not 0.0 < self.eta_cap <= 1.0:
-            raise ParameterError("need eta_noise >= 0 and eta_cap in (0, 1]")
-
-    def bond_eta(self, d1, q, d2, n_shots) -> float:
-        """Effective truncation threshold at one bond for ``n_shots`` samples."""
-        if self.eta_noise == 0.0:
-            return self.eta
-        noise = self.eta_noise * np.sqrt((d1 * q + q * d2) / (2.0 * n_shots))
-        return max(self.eta, min(self.eta_cap, noise))
-
-
-@dataclass
 class LossReport:
     """Cost breakdown at one penalty weight; total = nll + lam * penalty."""
 
@@ -128,16 +74,25 @@ def _check_dataset(mps, dataset):
         raise ParameterError("dataset does not match the state's shape")
 
 
+def _clamped_nll(probs, psi_floor) -> float:
+    """Mean negative log of the probabilities, clamped below at psi_floor."""
+    return -float(np.mean(np.log(np.maximum(probs, psi_floor))))
+
+
+def _chain_nll(tensors, rows, psi_floor) -> float:
+    """Whole-chain NLL of the site tensors over per-site rotation rows."""
+    left = np.ones((rows[0].shape[0], 1), dtype=np.complex128)
+    for tensor, row in zip(tensors, rows):
+        left = _contract_left(left, tensor, row)
+    return _clamped_nll(np.abs(left[:, 0]) ** 2, psi_floor)
+
+
 def nll(mps, dataset, psi_floor=1e-12) -> float:
     """Mean negative log of the squared rotated amplitudes over the dataset,
     with |amp|^2 clamped below at psi_floor.  The state must be normalized."""
     _check_dataset(mps, dataset)
-    rows = _site_rows(dataset, mps.spin)
-    left = np.ones((len(dataset), 1), dtype=np.complex128)
-    for j in range(mps.n_sites):
-        left = _contract_left(left, mps.tensor(j), rows[j])
-    probs = np.abs(left[:, 0]) ** 2
-    return float(-np.mean(np.log(np.maximum(probs, psi_floor))))
+    tensors = [mps.tensor(j) for j in range(mps.n_sites)]
+    return _chain_nll(tensors, _site_rows(dataset, mps.spin), psi_floor)
 
 
 def loss_with_penalty(mps, dataset, bond, lam, psi_floor=1e-12) -> LossReport:
@@ -220,8 +175,7 @@ class BondObjective:
         n2 = self._norm_sq(merged)
         if amps is None:
             amps = self.amplitudes(merged)
-        probs = np.abs(amps) ** 2 / n2
-        value = -float(np.mean(np.log(np.maximum(probs, self.psi_floor))))
+        value = _clamped_nll(np.abs(amps) ** 2 / n2, self.psi_floor)
         if self.penalty_weight != 0.0:
             t2, _, _ = self._purity(merged)
             value += self.penalty_weight * (2.0 * np.log(n2) - np.log(t2))
@@ -329,21 +283,14 @@ class _SweepEngine:
             self._train_bond(k, lam, "left")
         return self.report(lam)
 
-    def current_nll(self) -> float:
-        left = self.left[0]
-        for j in range(self.n):
-            left = _contract_left(left, self.tensors[j], self.rows[j])
-        probs = np.abs(left[:, 0]) ** 2
-        return float(-np.mean(np.log(np.maximum(probs, self.cfg.psi_floor))))
-
     def report(self, lam) -> LossReport:
         # entropy across bond 0, where the sweep parks the center
-        t = self.tensors[0]
-        d1, q, d2 = t.shape
-        s2 = np.linalg.svd(t.reshape(d1 * q, d2), compute_uv=False) ** 2
-        s2 /= s2.sum()
-        entropy = float(-np.log(np.sum(s2**2)))
-        return LossReport.build(self.current_nll(), entropy, lam)
+        state = MatrixProductState(self.tensors, center=self.center, copy=False)
+        return LossReport.build(
+            _chain_nll(self.tensors, self.rows, self.cfg.psi_floor),
+            state.renyi2_entropy(0),
+            lam,
+        )
 
     def to_mps(self) -> MatrixProductState:
         return MatrixProductState(self.tensors, center=self.center, copy=True)

@@ -55,6 +55,15 @@ class TestTomoCommand:
         ])
         assert rc == 2  # "no stages" is a parameter error
 
+    @pytest.mark.parametrize("override", ["batch_growth=nan", "train.step_size=inf"])
+    def test_non_finite_override_exit_code(self, tmp_path, override):
+        cfg = write_cfg(tmp_path / "exp.cfg", BASE_CFG)
+        rc = main([
+            "tomo", "--config", cfg, "--set", override,
+            "--seed", "4", "--out", str(tmp_path / "r"),
+        ])
+        assert rc == 2
+
     def test_unknown_config_key_exit_code(self, tmp_path):
         cfg = write_cfg(tmp_path / "exp.cfg", BASE_CFG + "nonsense = 1\n")
         rc = main(["tomo", "--config", cfg, "--seed", "4", "--out", str(tmp_path / "r")])

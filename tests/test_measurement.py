@@ -6,13 +6,11 @@ from scipy.stats import chisquare
 from mpstomo import (
     Dataset,
     DegenerateStateError,
+    FormatError,
     MatrixProductState,
     MeasurementBasis,
     ParameterError,
     Shot,
-    draw_noisy_shot,
-    draw_noisy_shots,
-    draw_shot,
     draw_shots,
     fixed_bases,
     random_init,
@@ -174,7 +172,7 @@ class TestDrawShot:
 
     def test_single_shot_wrapper(self):
         rng = np.random.default_rng(4)
-        shot = draw_shot(w_state(3, 0.0), MeasurementBasis.all_z(3), rng)
+        shot = draw_shots(w_state(3, 0.0), MeasurementBasis.all_z(3), 1, rng).shot(0)
         assert isinstance(shot, Shot)
         assert shot.outcomes.shape == (3,)
         assert set(np.abs(shot.outcomes)) == {0.5}
@@ -191,14 +189,14 @@ class TestDepolarizingNoise:
         target = w_state(3, 0.1)
         basis = MeasurementBasis.all_z(3)
         a = draw_shots(target, basis, 50, np.random.default_rng(9))
-        b = draw_noisy_shots(target, basis, 50, 0.0, np.random.default_rng(9))
+        b = draw_shots(target, basis, 50, np.random.default_rng(9), epsilon=0.0)
         np.testing.assert_array_equal(a.outcome_indices, b.outcome_indices)
 
     def test_full_noise_uniform(self):
         target = w_state(3, 0.0)
         rng = np.random.default_rng(21)
         count = 80_000
-        ds = draw_noisy_shots(target, MeasurementBasis.all_z(3), count, 1.0, rng)
+        ds = draw_shots(target, MeasurementBasis.all_z(3), count, rng, epsilon=1.0)
         freq = np.bincount(outcome_codes(ds), minlength=8) / count
         sigma = np.sqrt(0.125 * 0.875 / count)
         assert np.all(np.abs(freq - 0.125) < 3.5 * sigma + 1e-12)
@@ -208,13 +206,15 @@ class TestDepolarizingNoise:
         target = MatrixProductState([up, up])
         rng = np.random.default_rng(17)
         count = 100_000
-        ds = draw_noisy_shots(target, MeasurementBasis.all_z(2), count, 0.5, rng)
+        ds = draw_shots(target, MeasurementBasis.all_z(2), count, rng, epsilon=0.5)
         p00 = np.mean(outcome_codes(ds) == 0)
         assert abs(p00 - 0.625) < 0.01
 
     def test_epsilon_validation(self):
         with pytest.raises(ParameterError):
-            draw_noisy_shot(w_state(2, 0.0), MeasurementBasis.all_z(2), 1.5, np.random.default_rng(0))
+            draw_shots(
+                w_state(2, 0.0), MeasurementBasis.all_z(2), 1, np.random.default_rng(0), epsilon=1.5
+            )
 
 
 class TestFixedBases:
@@ -248,7 +248,7 @@ class TestDataset:
         target = w_state(4, 0.2)
         ds = Dataset(4, 2)
         for _ in range(5):
-            ds.append(draw_shot(target, sample_basis(4, rng), rng))
+            ds.append(draw_shots(target, sample_basis(4, rng), 1, rng).shot(0))
         assert ds.replica_count == 5
         path = tmp_path / "shots.txt"
         ds.to_file(path)
@@ -276,6 +276,28 @@ class TestDataset:
         ds = Dataset(3, 2)
         with pytest.raises(ParameterError):
             ds.append(Shot(MeasurementBasis.all_z(2), np.array([0.5, 0.5])))
+
+    def test_append_rejects_non_half_integer_m(self):
+        ds = Dataset(2, 2)
+        with pytest.raises(ParameterError):
+            ds.append(Shot(MeasurementBasis.all_z(2), np.array([0.3, 0.5])))
+        assert len(ds) == 0
+
+    @pytest.mark.parametrize(
+        "bad_line, message",
+        [
+            ("0.1,0.2,1;0.3,0.4,-1;0.5,0.6,1", "3 sites, expected 2"),
+            ("0.1,0.2,1;0.3,0.4,0", "parity"),
+            ("0.1,nan,1;0.3,0.4,-1", "non-finite"),
+            ("0.1,0.2,1;inf,0.4,-1", "non-finite"),
+        ],
+        ids=["ragged", "parity", "nan", "inf"],
+    )
+    def test_from_file_rejects_bad_line(self, tmp_path, bad_line, message):
+        path = tmp_path / "shots.txt"
+        path.write_text(f"0.1,0.2,1;0.3,0.4,-1\n\n{bad_line}\n0.1,0.2,1;0.3,0.4,1\n")
+        with pytest.raises(FormatError, match=f"line 3: .*{message}"):
+            Dataset.from_file(path, 2)
 
     def test_normalization_invariant_over_random_bases(self, rng):
         target = random_init(5, 2, 3, seed=2)

@@ -1,6 +1,10 @@
 import filecmp
+from dataclasses import fields
+from typing import get_args, get_type_hints
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mpstomo import (
     ExperimentConfig,
@@ -16,6 +20,38 @@ from mpstomo import (
 )
 from mpstomo.config import build_experiment_config, config_to_text, parse_config_text
 from mpstomo.runner import read_history, run_scaling_suite, write_history, write_run_dir
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+# config values are single tokens: no '#', line breaks or edge whitespace
+_TOKENS = st.from_regex(r"[A-Za-z0-9/._-]+", fullmatch=True)
+_SCALARS = {bool: st.booleans(), int: st.integers(), float: _FLOATS, str: _TOKENS}
+
+
+def _field_strategies(cls, **overrides):
+    """A strategy for every field of a config dataclass, from its type hints."""
+    hints = get_type_hints(cls)
+    out = {}
+    for f in fields(cls):
+        if f.name in overrides:
+            out[f.name] = overrides[f.name]
+            continue
+        args = [a for a in get_args(hints[f.name]) if a is not type(None)]
+        out[f.name] = st.none() | _SCALARS[args[0]] if args else _SCALARS[hints[f.name]]
+    return st.builds(cls, **out)
+
+
+_TARGET_SPECS = _field_strategies(
+    TargetSpec,
+    kind=st.sampled_from(["w", "cluster", "dimer", "random"]),
+    n_sites=st.integers(min_value=1).map(lambda k: 2 * k),  # dimers need even n
+    d_max=st.integers(min_value=1),
+)
+_EXPERIMENT_CONFIGS = _field_strategies(
+    ExperimentConfig,
+    target=_TARGET_SPECS | _TOKENS,
+    train=_field_strategies(TrainConfig),
+)
 
 
 def small_config(**kw):
@@ -71,6 +107,11 @@ class TestConfigFormat:
         assert loaded.noise_epsilon == 0.25
         assert loaded.c_estimate == 0.3
         assert loaded.train == cfg.train
+
+    @given(_EXPERIMENT_CONFIGS)
+    def test_roundtrip_every_field(self, cfg):
+        text = config_to_text(cfg)
+        assert build_experiment_config(parse_config_text(text)) == cfg
 
     def test_target_path_conflict(self):
         with pytest.raises(ParameterError):
