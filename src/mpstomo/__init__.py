@@ -6,6 +6,7 @@ doubles as a target-free fidelity estimator once its convergence constant
 is calibrated by virtual tomography.
 """
 
+from .config import ExperimentConfig, TrainConfig, load_config
 from .errors import (
     DegenerateStateError,
     EstimateOutOfRegime,
@@ -39,7 +40,6 @@ from .measurement import (
 )
 from .mps import (
     MatrixProductState,
-    TwoSiteTensor,
     load_mps,
     max_canonical_defect,
     random_init,
@@ -70,10 +70,5 @@ from .training import (
     train_stage,
     two_site_gradient,
 )
-# config comes last.  Imported first, it put scipy's import under its module
-# frame, at a data-stack depth where CPython 3.11 maps and unmaps a frame
-# chunk over and over while scipy compiles its regexes: about 5000 extra
-# page faults per interpreter start, 10-25% of the benchmark's set-up time.
-from .config import ExperimentConfig, TrainConfig, load_config
 
 __version__ = "0.1.0"

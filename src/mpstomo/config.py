@@ -66,12 +66,10 @@ class TrainConfig:
     lambda0: float = 0.01
     lambda_decay: float = 0.9
     step_size: float = 0.05
-    step_backoff: float = 0.5
     grad_steps_per_bond: int = 10
     sweeps_per_stage: int = 20
     d_cap: int = 32
     eta: float = 1e-7
-    psi_floor: float = 1e-12
     convergence_tol: float = 1e-4
     eta_noise: float = 0.0
     eta_cap: float = 0.12
@@ -84,14 +82,10 @@ class TrainConfig:
             raise ParameterError("lambda_decay must lie in (0, 1)")
         if self.step_size < 0:
             raise ParameterError("step_size must be >= 0")
-        if not 0.0 < self.step_backoff < 1.0:
-            raise ParameterError("step_backoff must lie in (0, 1)")
         if self.grad_steps_per_bond < 0 or self.sweeps_per_stage < 1:
             raise ParameterError("need grad_steps_per_bond >= 0, sweeps_per_stage >= 1")
         if self.d_cap < 1 or self.eta < 0:
             raise ParameterError("need d_cap >= 1 and eta >= 0")
-        if not 0.0 < self.psi_floor <= 1e-8:
-            raise ParameterError("psi_floor must lie in (0, 1e-8]")
         if self.convergence_tol <= 0:
             raise ParameterError("convergence_tol must be > 0")
         if self.eta_noise < 0 or not 0.0 < self.eta_cap <= 1.0:

@@ -69,50 +69,24 @@ class Shot:
 
 
 class Dataset:
-    """Append-only collection of shots, stored as flat angle/outcome arrays."""
+    """Append-only collection of shots, stored as flat (|V|, N) arrays: the
+    basis angles ``thetas`` and ``phis`` and the ``outcome_indices`` p = S - m."""
 
     def __init__(self, n_sites, local_dim):
         if n_sites < 1 or local_dim < 2:
             raise ParameterError("need n_sites >= 1 and local_dim >= 2")
         self.n_sites = int(n_sites)
         self.local_dim = int(local_dim)
-        self._chunks = []  # list of (thetas, phis, idx) blocks
-        self._cache = None
+        self.thetas = np.zeros((0, self.n_sites))
+        self.phis = np.zeros((0, self.n_sites))
+        self.outcome_indices = np.zeros((0, self.n_sites), dtype=np.int64)
 
     @property
     def spin(self) -> float:
         return (self.local_dim - 1) / 2.0
 
-    @property
-    def replica_count(self) -> int:
-        return sum(c[0].shape[0] for c in self._chunks)
-
     def __len__(self) -> int:
-        return self.replica_count
-
-    def _consolidated(self):
-        if self._cache is None:
-            if not self._chunks:
-                z = np.zeros((0, self.n_sites))
-                self._cache = (z, z.copy(), z.astype(np.int64))
-            else:
-                self._cache = tuple(
-                    np.concatenate([c[i] for c in self._chunks]) for i in range(3)
-                )
-        return self._cache
-
-    @property
-    def thetas(self) -> np.ndarray:
-        return self._consolidated()[0]
-
-    @property
-    def phis(self) -> np.ndarray:
-        return self._consolidated()[1]
-
-    @property
-    def outcome_indices(self) -> np.ndarray:
-        """Outcomes as indices p = S - m, shape (|V|, N)."""
-        return self._consolidated()[2]
+        return self.thetas.shape[0]
 
     def append(self, shot: Shot) -> None:
         if shot.basis.n_sites != self.n_sites:
@@ -130,26 +104,25 @@ class Dataset:
             raise ParameterError("mismatched shot arrays")
         if thetas.ndim != 2 or thetas.shape[1] != self.n_sites:
             raise ParameterError("shot arrays must have shape (count, n_sites)")
-        self._chunks.append((thetas, phis, idx))
-        self._cache = None
+        self.thetas = np.concatenate([self.thetas, thetas])
+        self.phis = np.concatenate([self.phis, phis])
+        self.outcome_indices = np.concatenate([self.outcome_indices, idx])
 
     def extend(self, other: "Dataset") -> None:
         if other.n_sites != self.n_sites or other.local_dim != self.local_dim:
             raise ParameterError("datasets are incompatible")
-        for c in other._chunks:
-            self._chunks.append(c)
-        self._cache = None
+        self.extend_raw(other.thetas, other.phis, other.outcome_indices)
 
     def shot(self, i) -> Shot:
-        thetas, phis, idx = self._consolidated()
         return Shot(
-            MeasurementBasis(thetas[i], phis[i]), self.spin - idx[i].astype(float)
+            MeasurementBasis(self.thetas[i], self.phis[i]),
+            self.spin - self.outcome_indices[i].astype(float),
         )
 
     # one line per shot; per-site fields "theta,phi,2m" joined by semicolons
     def to_file(self, path) -> None:
-        thetas, phis, idx = self._consolidated()
-        twice_m = (self.local_dim - 1) - 2 * idx
+        thetas, phis = self.thetas, self.phis
+        twice_m = (self.local_dim - 1) - 2 * self.outcome_indices
         with open(path, "w") as f:
             for s in range(len(self)):
                 fields = (
@@ -166,12 +139,14 @@ class Dataset:
                 line = line.strip()
                 if not line:
                     continue
+                triples = [fld.split(",") for fld in line.split(";")]
+                if any(len(t) != 3 for t in triples):
+                    raise FormatError(f"{path}: line {ln}: every site field must be theta,phi,2m")
                 try:
-                    triples = [fld.split(",") for fld in line.split(";")]
                     th = [float(t[0]) for t in triples]
                     ph = [float(t[1]) for t in triples]
                     tm = [int(t[2]) for t in triples]
-                except (ValueError, IndexError) as exc:
+                except ValueError as exc:
                     raise FormatError(f"{path}: line {ln}: {exc}") from exc
                 if rows and len(tm) != len(rows[0][2]):
                     raise FormatError(
@@ -192,6 +167,8 @@ class Dataset:
                 raise FormatError(f"{path}: line {line_numbers[bad[0]]}: {what}")
 
         require(np.isfinite(thetas) & np.isfinite(phis), "non-finite angle")
+        require((thetas >= 0) & (thetas <= np.pi), "theta out of [0, pi]")
+        require((phis >= 0) & (phis < 2 * np.pi), "phi out of [0, 2 pi)")
         require(offset % 2 == 0, f"2m must have the parity of q - 1 = {local_dim - 1}")
         require((offset >= 0) & (offset <= 2 * (local_dim - 1)),
                 f"outcome out of range for q={local_dim}")
@@ -239,34 +216,6 @@ def fixed_bases(n_sites, local_dim=2) -> list[MeasurementBasis]:
 # -- projective sampling -------------------------------------------------------
 
 
-def _broadcast_angles(basis, count, n_sites):
-    if isinstance(basis, MeasurementBasis):
-        if basis.n_sites != n_sites:
-            raise ParameterError("basis length does not match the state")
-        thetas = np.broadcast_to(basis.thetas, (count, n_sites))
-        phis = np.broadcast_to(basis.phis, (count, n_sites))
-        return thetas, phis
-    thetas, phis = basis
-    thetas = np.asarray(thetas, dtype=float)
-    phis = np.asarray(phis, dtype=float)
-    if thetas.shape != (count, n_sites) or phis.shape != (count, n_sites):
-        raise ParameterError("per-shot angles must have shape (count, n_sites)")
-    return thetas, phis
-
-
-def _site_unitaries(basis, thetas, phis, spin):
-    """One (q, q) matrix per site for a shared basis, else (count, q, q) stacks."""
-    if isinstance(basis, MeasurementBasis):
-        return [
-            rotation_matrices(basis.thetas[j], basis.phis[j], spin)
-            for j in range(basis.n_sites)
-        ]
-    return [
-        rotation_matrices(thetas[:, j], phis[:, j], spin)
-        for j in range(thetas.shape[1])
-    ]
-
-
 def _sample_outcome_indices(target, unitaries, count, rng) -> np.ndarray:
     mps = target.canonicalize(0)
     n = mps.n_sites
@@ -277,11 +226,7 @@ def _sample_outcome_indices(target, unitaries, count, rng) -> np.ndarray:
         a = mps.tensor(j)
         d1, q, d2 = a.shape
         t = (left @ a.reshape(d1, q * d2)).reshape(count, q, d2)
-        u = unitaries[j]
-        if u.ndim == 2:
-            cand = np.swapaxes(np.tensordot(t, u, axes=(1, 1)), 1, 2)
-        else:
-            cand = np.einsum("smv,svj->smj", u, t)  # (count, q, D2)
+        cand = np.einsum("smv,svj->smj", unitaries[j], t)  # (count, q, D2)
         w = (cand.real**2 + cand.imag**2).sum(axis=2)
         total = w.sum(axis=1)
         if np.any(total < _MASS_FLOOR):
@@ -310,14 +255,20 @@ def draw_shots(target, basis, count, rng, epsilon=0.0) -> Dataset:
     if not 0.0 <= epsilon <= 1.0:
         raise ParameterError("epsilon must lie in [0, 1]")
     n, q = target.n_sites, target.local_dim
-    thetas, phis = _broadcast_angles(basis, count, n)
-    unitaries = _site_unitaries(basis, thetas, phis, target.spin)
+    if isinstance(basis, MeasurementBasis):
+        if basis.n_sites != n:
+            raise ParameterError("basis length does not match the state")
+        basis = [np.broadcast_to(a, (count, n)) for a in (basis.thetas, basis.phis)]
+    thetas, phis = (np.array(a, dtype=float) for a in basis)
+    if thetas.shape != (count, n) or phis.shape != (count, n):
+        raise ParameterError("per-shot angles must have shape (count, n_sites)")
+    unitaries = [rotation_matrices(thetas[:, j], phis[:, j], target.spin) for j in range(n)]
     noisy = rng.random(count) < epsilon if epsilon > 0.0 else None
     idx = _sample_outcome_indices(target, unitaries, count, rng)
     if noisy is not None and noisy.any():
         idx[noisy] = rng.integers(0, q, size=(int(noisy.sum()), n))
     ds = Dataset(n, q)
-    ds.extend_raw(np.array(thetas), np.array(phis), idx)
+    ds.extend_raw(thetas, phis, idx)
     return ds
 
 

@@ -14,10 +14,8 @@ tensor copies and rebuilds a state at the end.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegenerateStateError,
@@ -32,19 +30,14 @@ DENSE_LIMIT = 2**20
 _MAGIC = b"MPS1"
 
 
-@dataclass
-class TwoSiteTensor:
-    """Merged pair of adjacent site tensors, shape (D_left, q, q, D_right)."""
-
-    data: np.ndarray
-    bond: int
-
-
 def _robust_svd(mat):
     try:
         return np.linalg.svd(mat, full_matrices=False)
     except np.linalg.LinAlgError:
-        # gesdd occasionally fails to converge; gesvd is slower but reliable
+        # gesdd occasionally fails to converge; gesvd is slower but reliable.
+        # scipy is imported only here: it costs more than the rest of the package.
+        import scipy.linalg
+
         return scipy.linalg.svd(mat, full_matrices=False, lapack_driver="gesvd")
 
 
@@ -204,17 +197,17 @@ class MatrixProductState:
 
     # -- two-site operations -------------------------------------------------
 
-    def merge_adjacent(self, k) -> TwoSiteTensor:
-        """Contract sites k and k+1 over bond k.  Requires the canonical
-        center at site k or k+1 so the environments are isometric."""
+    def merge_adjacent(self, k) -> np.ndarray:
+        """Contract sites k and k+1 over bond k into a (D_left, q, q, D_right)
+        array.  Requires the canonical center at site k or k+1 so the
+        environments are isometric."""
         if not 0 <= k <= self.n_sites - 2:
             raise ParameterError(f"bond {k} out of range")
         if self._center not in (k, k + 1):
             raise StateError(
                 f"canonical center must be at site {k} or {k + 1}, is {self._center}"
             )
-        data = np.einsum("ivj,jwl->ivwl", self._tensors[k], self._tensors[k + 1])
-        return TwoSiteTensor(data, k)
+        return np.einsum("ivj,jwl->ivwl", self._tensors[k], self._tensors[k + 1])
 
     def renyi2_entropy(self, k) -> float:
         """Second-order Renyi entanglement entropy across bond k of the
@@ -247,24 +240,42 @@ class MatrixProductState:
 
 
 def load_mps(path) -> MatrixProductState:
-    """Read a state written by :meth:`MatrixProductState.save`."""
+    """Read a state written by :meth:`MatrixProductState.save`.
+
+    A malformed file raises FormatError naming the byte offset at fault."""
     with open(path, "rb") as f:
         raw = f.read()
+    if len(raw) < 12:
+        raise FormatError(f"{path}: byte {len(raw)}: file ends inside the 12-byte header")
     if raw[:4] != _MAGIC:
-        raise FormatError(f"{path}: bad magic {raw[:4]!r}")
+        raise FormatError(f"{path}: byte 0: bad magic {raw[:4]!r}")
     n, q = struct.unpack_from("<II", raw, 4)
     off = 12
-    bonds = np.frombuffer(raw, dtype="<u4", count=max(n - 1, 0), offset=off)
-    off += 4 * max(n - 1, 0)
+
+    def read(dtype, count, what):
+        nonlocal off
+        end = off + np.dtype(dtype).itemsize * count
+        if end > len(raw):
+            raise FormatError(
+                f"{path}: byte {off}: {what} runs past the end of the file "
+                f"({end - off} bytes needed, {len(raw) - off} left)"
+            )
+        arr = np.frombuffer(raw, dtype=dtype, count=count, offset=off)
+        off = end
+        return arr
+
+    bonds = read("<u4", max(n - 1, 0), "bond header")
     dims = [1, *bonds.tolist(), 1]
     tensors = []
     for k in range(n):
-        count = dims[k] * q * dims[k + 1]
-        t = np.frombuffer(raw, dtype="<c16", count=count, offset=off)
-        off += 16 * count
+        start = off
+        t = read("<c16", dims[k] * q * dims[k + 1], f"site {k} tensor")
+        bad = np.flatnonzero(~np.isfinite(t))
+        if bad.size:
+            raise FormatError(f"{path}: byte {start + 16 * bad[0]}: non-finite entry in site {k}")
         tensors.append(t.reshape(dims[k], q, dims[k + 1]))
     if off != len(raw):
-        raise FormatError(f"{path}: trailing bytes after tensor payload")
+        raise FormatError(f"{path}: byte {off}: trailing bytes after tensor payload")
     return MatrixProductState(tensors, center=None)
 
 
@@ -297,8 +308,8 @@ def random_init(n_sites, local_dim, bond_dim, seed) -> MatrixProductState:
     return mps
 
 
-def split_two_site(two_site, d_cap, eta, direction) -> tuple[np.ndarray, np.ndarray, float]:
-    """SVD a merged tensor back into two sites.
+def split_two_site(merged, d_cap, eta, direction) -> tuple[np.ndarray, np.ndarray, float]:
+    """SVD a merged (D_left, q, q, D_right) tensor back into two sites.
 
     Keeps singular values >= eta * s_max, at most ``d_cap`` of them, and
     absorbs the singular weights toward ``direction`` ('left' or 'right') so
@@ -309,9 +320,8 @@ def split_two_site(two_site, d_cap, eta, direction) -> tuple[np.ndarray, np.ndar
         raise ParameterError(f"direction must be 'left' or 'right', got {direction!r}")
     if d_cap < 1 or eta < 0:
         raise ParameterError("need d_cap >= 1 and eta >= 0")
-    data = two_site.data
-    d1, q, q2, d2 = data.shape
-    u, s, vh = _robust_svd(data.reshape(d1 * q, q2 * d2))
+    d1, q, q2, d2 = merged.shape
+    u, s, vh = _robust_svd(merged.reshape(d1 * q, q2 * d2))
     if not np.isfinite(s[0]) or s[0] <= 0.0:
         raise DegenerateStateError("merged tensor is numerically zero")
     r = int(np.count_nonzero(s >= eta * s[0]))

@@ -70,11 +70,11 @@ def run_tomography(config: ExperimentConfig):
     prev_model = None
     batch = config.batch_initial
     consecutive = 0
-    while dataset.replica_count < config.max_replicas:
-        count = min(batch, config.max_replicas - dataset.replica_count)
+    while len(dataset) < config.max_replicas:
+        count = min(batch, config.max_replicas - len(dataset))
         dataset.extend(measure_batch(target, count, config.noise_epsilon, shot_rng))
         model, loss_hist = train_stage(model, dataset, config.train)
-        rec = StageRecord(replicas=dataset.replica_count, nll=loss_hist[-1].nll)
+        rec = StageRecord(replicas=len(dataset), nll=loss_hist[-1].nll)
         if not config.blind:
             rec.f_true, rec.r_real = model.fidelity_distance(target)
         if prev_model is not None:
@@ -166,6 +166,8 @@ def read_history(path) -> list[StageRecord]:
                     values[name] = typ(raw)
                 except ValueError as exc:
                     raise FormatError(f"{path}: line {ln}: bad field {raw!r}") from exc
+                if typ is float and not math.isfinite(values[name]):
+                    raise FormatError(f"{path}: line {ln}: {name} is not finite ({raw!r})")
             history.append(StageRecord(**values))
     return history
 

@@ -26,8 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateStateError, ParameterError
-from .mps import MatrixProductState, TwoSiteTensor, split_two_site
+from .mps import MatrixProductState, split_two_site
 from .rotations import rotation_matrices
+
+# normalized shot probabilities are clamped below at this floor in the loss;
+# clamped shots contribute nothing to the gradient
+_PROB_FLOOR = 1e-12
+# a bond step that raises the loss is rejected and the step size scaled by this
+_STEP_SHRINK = 0.5
 
 
 @dataclass
@@ -67,6 +73,27 @@ def _contract_right(tensor, row, right):
     return np.einsum("siv,sv->si", t, row)
 
 
+def _left_envs(tensors, rows, stop) -> list:
+    """Per-shot left environments indexed by site: entry j contracts sites
+    0 .. j-1 with their rotation rows.  Entries above ``stop`` are None."""
+    envs = [None] * (len(tensors) + 1)
+    envs[0] = np.ones((rows[0].shape[0], 1), dtype=np.complex128)
+    for j in range(stop):
+        envs[j + 1] = _contract_left(envs[j], tensors[j], rows[j])
+    return envs
+
+
+def _right_envs(tensors, rows, start) -> list:
+    """Per-shot right environments indexed by site: entry j contracts sites
+    j .. N-1 with their rotation rows.  Entries below ``start`` are None."""
+    n = len(tensors)
+    envs = [None] * (n + 1)
+    envs[n] = np.ones((rows[0].shape[0], 1), dtype=np.complex128)
+    for j in range(n - 1, start - 1, -1):
+        envs[j] = _contract_right(tensors[j], rows[j], envs[j + 1])
+    return envs
+
+
 def _check_dataset(mps, dataset):
     if len(dataset) == 0:
         raise ParameterError("dataset is empty")
@@ -74,32 +101,28 @@ def _check_dataset(mps, dataset):
         raise ParameterError("dataset does not match the state's shape")
 
 
-def _clamped_nll(probs, psi_floor) -> float:
-    """Mean negative log of the probabilities, clamped below at psi_floor."""
-    return -float(np.mean(np.log(np.maximum(probs, psi_floor))))
+def _clamped_nll(probs) -> float:
+    """Mean negative log of the probabilities, clamped below at _PROB_FLOOR."""
+    return -float(np.mean(np.log(np.maximum(probs, _PROB_FLOOR))))
 
 
-def _chain_nll(tensors, rows, psi_floor) -> float:
+def _chain_nll(tensors, rows) -> float:
     """Whole-chain NLL of the site tensors over per-site rotation rows."""
-    left = np.ones((rows[0].shape[0], 1), dtype=np.complex128)
-    for tensor, row in zip(tensors, rows):
-        left = _contract_left(left, tensor, row)
-    return _clamped_nll(np.abs(left[:, 0]) ** 2, psi_floor)
+    amps = _left_envs(tensors, rows, len(tensors))[-1][:, 0]
+    return _clamped_nll(np.abs(amps) ** 2)
 
 
-def nll(mps, dataset, psi_floor=1e-12) -> float:
+def nll(mps, dataset) -> float:
     """Mean negative log of the squared rotated amplitudes over the dataset,
-    with |amp|^2 clamped below at psi_floor.  The state must be normalized."""
+    with |amp|^2 clamped below at _PROB_FLOOR.  The state must be normalized."""
     _check_dataset(mps, dataset)
     tensors = [mps.tensor(j) for j in range(mps.n_sites)]
-    return _chain_nll(tensors, _site_rows(dataset, mps.spin), psi_floor)
+    return _chain_nll(tensors, _site_rows(dataset, mps.spin))
 
 
-def loss_with_penalty(mps, dataset, bond, lam, psi_floor=1e-12) -> LossReport:
+def loss_with_penalty(mps, dataset, bond, lam) -> LossReport:
     """NLL plus lam times the Renyi-2 entropy across ``bond``."""
-    return LossReport.build(
-        nll(mps, dataset, psi_floor), mps.renyi2_entropy(bond), lam
-    )
+    return LossReport.build(nll(mps, dataset), mps.renyi2_entropy(bond), lam)
 
 
 class BondObjective:
@@ -110,42 +133,39 @@ class BondObjective:
     ``gradient`` may then be evaluated for arbitrary merged tensors of the
     matching shape.  ``gradient`` returns the ascent direction of -loss with
     respect to the conjugated tensor.  Shots whose normalized probability
-    falls below ``psi_floor`` contribute the clamped constant to the loss and
+    falls below _PROB_FLOOR contribute the clamped constant to the loss and
     nothing to the gradient; ``clamped_last`` tallies them per evaluation.
     """
 
-    def __init__(self, mps, bond, dataset, penalty_weight, psi_floor=1e-12):
+    def __init__(self, mps, bond, dataset, penalty_weight):
         _check_dataset(mps, dataset)
         if not 0 <= bond <= mps.n_sites - 2:
             raise ParameterError(f"bond {bond} out of range")
         if mps.canonical_center not in (bond, bond + 1):
             mps = mps.canonicalize(bond)
+        tensors = [mps.tensor(j) for j in range(mps.n_sites)]
         rows = _site_rows(dataset, mps.spin)
-        count = len(dataset)
-        left = np.ones((count, 1), dtype=np.complex128)
-        for j in range(bond):
-            left = _contract_left(left, mps.tensor(j), rows[j])
-        right = np.ones((count, 1), dtype=np.complex128)
-        for j in range(mps.n_sites - 1, bond + 1, -1):
-            right = _contract_right(mps.tensor(j), rows[j], right)
         self._init_from_parts(
-            left, rows[bond], rows[bond + 1], right, penalty_weight, psi_floor
+            _left_envs(tensors, rows, bond)[bond],
+            rows[bond],
+            rows[bond + 1],
+            _right_envs(tensors, rows, bond + 2)[bond + 2],
+            penalty_weight,
         )
 
     @classmethod
-    def from_environments(cls, left, row_a, row_b, right, penalty_weight, psi_floor):
+    def from_environments(cls, left, row_a, row_b, right, penalty_weight):
         obj = cls.__new__(cls)
-        obj._init_from_parts(left, row_a, row_b, right, penalty_weight, psi_floor)
+        obj._init_from_parts(left, row_a, row_b, right, penalty_weight)
         return obj
 
-    def _init_from_parts(self, left, row_a, row_b, right, penalty_weight, psi_floor):
+    def _init_from_parts(self, left, row_a, row_b, right, penalty_weight):
         count, d1 = left.shape
         q = row_a.shape[1]
         d2 = right.shape[1]
         self.count = count
         self.shape = (d1, q, q, d2)
         self.penalty_weight = float(penalty_weight)
-        self.psi_floor = float(psi_floor)
         # rank-1 shot environments, flattened for single-matmul evaluation
         self._la = (left[:, :, None] * row_a[:, None, :]).reshape(count, d1 * q)
         self._rb = (row_b[:, :, None] * right[:, None, :]).reshape(count, q * d2)
@@ -175,7 +195,7 @@ class BondObjective:
         n2 = self._norm_sq(merged)
         if amps is None:
             amps = self.amplitudes(merged)
-        value = _clamped_nll(np.abs(amps) ** 2 / n2, self.psi_floor)
+        value = _clamped_nll(np.abs(amps) ** 2 / n2)
         if self.penalty_weight != 0.0:
             t2, _, _ = self._purity(merged)
             value += self.penalty_weight * (2.0 * np.log(n2) - np.log(t2))
@@ -186,7 +206,7 @@ class BondObjective:
         if amps is None:
             amps = self.amplitudes(merged)
         probs = np.abs(amps) ** 2 / n2
-        live = probs >= self.psi_floor
+        live = probs >= _PROB_FLOOR
         self.clamped_last = int(self.count - live.sum())
         w = np.zeros(self.count, dtype=np.complex128)
         w[live] = 1.0 / (self.count * amps[live].conj())
@@ -202,12 +222,11 @@ class BondObjective:
         return grad
 
 
-def two_site_gradient(mps, bond, dataset, penalty_weight, psi_floor=1e-12) -> TwoSiteTensor:
+def two_site_gradient(mps, bond, dataset, penalty_weight) -> np.ndarray:
     """Ascent direction of -L for the merged tensor at ``bond``."""
     work = mps if mps.canonical_center in (bond, bond + 1) else mps.canonicalize(bond)
-    obj = BondObjective(work, bond, dataset, penalty_weight, psi_floor)
-    merged = work.merge_adjacent(bond)
-    return TwoSiteTensor(obj.gradient(merged.data), bond)
+    obj = BondObjective(work, bond, dataset, penalty_weight)
+    return obj.gradient(work.merge_adjacent(bond))
 
 
 def _optimize_bond(obj, merged, config):
@@ -225,7 +244,7 @@ def _optimize_bond(obj, merged, config):
             merged, loss, amps = trial, trial_loss, trial_amps
             step = min(step * 1.2, config.step_size)
         else:
-            step *= config.step_backoff
+            step *= _STEP_SHRINK
     return merged
 
 
@@ -243,21 +262,15 @@ class _SweepEngine:
         self.n = mps.n_sites
         self.cfg = config
         self.rows = _site_rows(dataset, self.spin)
-        count = len(dataset)
-        self.left = [None] * (self.n + 1)
-        self.right = [None] * (self.n + 1)
-        self.left[0] = np.ones((count, 1), dtype=np.complex128)
-        self.right[self.n] = np.ones((count, 1), dtype=np.complex128)
-        for j in range(self.n - 1, 1, -1):
-            self.right[j] = _contract_right(self.tensors[j], self.rows[j], self.right[j + 1])
+        self.left = _left_envs(self.tensors, self.rows, 0)
+        self.right = _right_envs(self.tensors, self.rows, 2)
         self.center = 0
         self.clamped = 0
 
     def _train_bond(self, k, lam, move):
         cfg = self.cfg
         obj = BondObjective.from_environments(
-            self.left[k], self.rows[k], self.rows[k + 1], self.right[k + 2],
-            lam, cfg.psi_floor,
+            self.left[k], self.rows[k], self.rows[k + 1], self.right[k + 2], lam
         )
         merged = np.einsum("ivj,jwl->ivwl", self.tensors[k], self.tensors[k + 1])
         merged = _optimize_bond(obj, merged, cfg)
@@ -265,7 +278,7 @@ class _SweepEngine:
         merged /= np.linalg.norm(merged)
         d1, q, _, d2 = merged.shape
         eta = cfg.bond_eta(d1, q, d2, obj.count)
-        a, b, _ = split_two_site(TwoSiteTensor(merged, k), cfg.d_cap, eta, move)
+        a, b, _ = split_two_site(merged, cfg.d_cap, eta, move)
         self.tensors[k], self.tensors[k + 1] = a, b
         if move == "right":
             self.left[k + 1] = _contract_left(self.left[k], a, self.rows[k])
@@ -287,7 +300,7 @@ class _SweepEngine:
         # entropy across bond 0, where the sweep parks the center
         state = MatrixProductState(self.tensors, center=self.center, copy=False)
         return LossReport.build(
-            _chain_nll(self.tensors, self.rows, self.cfg.psi_floor),
+            _chain_nll(self.tensors, self.rows),
             state.renyi2_entropy(0),
             lam,
         )

@@ -91,7 +91,7 @@ def test_criterion_2_gradient_correctness():
             bond = int(rng.integers(0, n - 1))
             work = model.canonicalize(bond)
             obj = BondObjective(work, bond, dataset, lam)
-            merged = work.merge_adjacent(bond).data
+            merged = work.merge_adjacent(bond)
             grad = obj.gradient(merged)
             rel = np.linalg.norm(fd_gradient(obj, merged) - grad) / np.linalg.norm(grad)
             worst = max(worst, rel)

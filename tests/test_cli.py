@@ -91,6 +91,20 @@ class TestFitCommand:
         assert "alpha=" in text and "coeff=" in text
 
 
+    def test_non_finite_history_exit_code(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "exp.cfg", BASE_CFG)
+        out = tmp_path / "run"
+        assert main(["tomo", "--config", cfg, "--seed", "4", "--out", str(out)]) == 0
+        lines = (out / "history.csv").read_text().splitlines()
+        fields = lines[1].split(",")
+        fields[2] = "nan"  # nll
+        lines[1] = ",".join(fields)
+        (out / "history.csv").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["fit", "--history", str(out / "history.csv")]) == 2
+        assert "line 2: nll is not finite" in capsys.readouterr().err
+
+
 class TestReportCommand:
     def test_report_over_runs(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "exp.cfg", BASE_CFG)
@@ -134,6 +148,18 @@ class TestVirtualCommand:
         assert (tmp_path / "virt" / "virtual_00" / "history.csv").exists()
         text = capsys.readouterr().out
         assert "c_estimate" in text
+
+    def test_truncated_model_exit_code(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "exp.cfg", BASE_CFG)
+        model = tmp_path / "w4.mps"
+        w_state(4, 0.1).save(model)
+        model.write_bytes(model.read_bytes()[:-8])
+        rc = main([
+            "virtual", "--model", str(model), "--config", cfg,
+            "--runs", "2", "--seed", "9", "--out", str(tmp_path / "virt"),
+        ])
+        assert rc == 2
+        assert "byte 344: site 3 tensor runs past the end" in capsys.readouterr().err
 
     def test_same_seed_identical_runs(self, tmp_path):
         from mpstomo import ExperimentConfig, TargetSpec, TrainConfig, run_virtual

@@ -29,14 +29,14 @@ GOLDEN = {
         "model.mps": "0aec9233b87737a108d4c61024135b71e354b349afdd9f8dda38c2355a802fdd",
         "shots.txt": "c699232f89989e7eb7e7ad33b7bfd5badeebfa14fe0cd2916911d76846af5d77",
         "losses.csv": "8e24a173d09ae66aff70f4045ee6f548e934b6001ef3e6cd2c44c4c96babe3dd",
-        "run.cfg": "c16eb38de7cfff1a8e9fd5fc061b582473d19faa9662a7335afc575954482765",
+        "run.cfg": "684b7ec21a6c11cd2dde2189f1b0b1d6cf30fd60dd8944c2c82a9dd66c73cd48",
     },
     "w6": {
         "history.csv": "07ebf500226820dabb2704d1c67ce9c1f433b1d993f7e7ebcfb43356d0ddd381",
         "model.mps": "3d8113bddb452b9fffa272ce843276379a83d24b5ab28b63826daab8fb083b67",
         "shots.txt": "bacbf2595b3a544d4afc50d9067d38b59720487a960ed5c8377ded477a442a8f",
         "losses.csv": "a7378e28cc9a307bba6c20f3f4002e52ebaa370955fbf956d4ad8db0fb1f3679",
-        "run.cfg": "5777948da2f8d9775212396b752a572733af7985cc685db840c094dd4e2c1cf3",
+        "run.cfg": "2cb61903d0fc81c87319c3d7d003958f7db25b17a60e8a9e622ff0076aa1382c",
     },
 }
 

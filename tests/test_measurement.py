@@ -249,7 +249,7 @@ class TestDataset:
         ds = Dataset(4, 2)
         for _ in range(5):
             ds.append(draw_shots(target, sample_basis(4, rng), 1, rng).shot(0))
-        assert ds.replica_count == 5
+        assert len(ds) == 5
         path = tmp_path / "shots.txt"
         ds.to_file(path)
         loaded = Dataset.from_file(path, 2)
@@ -290,8 +290,14 @@ class TestDataset:
             ("0.1,0.2,1;0.3,0.4,0", "parity"),
             ("0.1,nan,1;0.3,0.4,-1", "non-finite"),
             ("0.1,0.2,1;inf,0.4,-1", "non-finite"),
+            ("9.0,-3.0,1;0.3,0.4,-1", "theta out of"),
+            ("0.1,0.2,1;0.3,6.5,-1", "phi out of"),
+            ("0.1,0.2,1;0.3,-0.4,-1", "phi out of"),
+            ("0.1,0.2,1,99;0.3,0.4,-1", "theta,phi,2m"),
+            ("0.1,0.2;0.3,0.4,-1", "theta,phi,2m"),
         ],
-        ids=["ragged", "parity", "nan", "inf"],
+        ids=["ragged", "parity", "nan", "inf", "theta-range", "phi-high", "phi-negative",
+             "extra-field", "missing-field"],
     )
     def test_from_file_rejects_bad_line(self, tmp_path, bad_line, message):
         path = tmp_path / "shots.txt"

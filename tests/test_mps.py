@@ -1,13 +1,19 @@
+import struct
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import mpstomo
 from mpstomo import (
+    FormatError,
     MatrixProductState,
     MeasurementBasis,
     ParameterError,
     ResourceError,
     StateError,
-    TwoSiteTensor,
     load_mps,
     max_canonical_defect,
     random_init,
@@ -170,7 +176,7 @@ class TestMergeSplit:
         m = random_mps(4, 2, 3, rng).canonicalize(1)
         merged = m.merge_adjacent(1)
         direct = np.einsum("ivj,jwl->ivwl", m.tensor(1), m.tensor(2))
-        np.testing.assert_allclose(merged.data, direct, atol=1e-12)
+        np.testing.assert_allclose(merged, direct, atol=1e-12)
 
     def test_exact_roundtrip(self, rng):
         m = random_mps(5, 2, 4, rng).canonicalize(2)
@@ -186,33 +192,62 @@ class TestMergeSplit:
     def test_product_state_merge_is_rank_one(self):
         m = random_init(4, 2, 1, seed=3).canonicalize(1)
         merged = m.merge_adjacent(1)
-        d1, q, q2, d2 = merged.data.shape
-        s = np.linalg.svd(merged.data.reshape(d1 * q, q2 * d2), compute_uv=False)
+        d1, q, q2, d2 = merged.shape
+        s = np.linalg.svd(merged.reshape(d1 * q, q2 * d2), compute_uv=False)
         assert s[1] < 1e-12
 
     def test_bell_pair_truncation_weight(self):
         bell = np.zeros((1, 2, 2, 1), dtype=complex)
         bell[0, 0, 1, 0] = 1 / np.sqrt(2)
         bell[0, 1, 0, 0] = 1 / np.sqrt(2)
-        _, _, w = split_two_site(TwoSiteTensor(bell, 0), d_cap=1, eta=0.0, direction="left")
+        _, _, w = split_two_site(bell, d_cap=1, eta=0.0, direction="left")
         assert abs(w - 0.5) < 1e-12
 
     def test_truncation_fidelity_identity(self, rng):
         data = rng.standard_normal((3, 2, 2, 3)) + 1j * rng.standard_normal((3, 2, 2, 3))
         data /= np.linalg.norm(data)
-        left, right, w = split_two_site(TwoSiteTensor(data, 0), d_cap=2, eta=0.0, direction="right")
+        left, right, w = split_two_site(data, d_cap=2, eta=0.0, direction="right")
         rebuilt = np.einsum("ivj,jwl->ivwl", left, right)
         overlap = abs(np.vdot(data, rebuilt))
         assert overlap >= np.sqrt(1.0 - w) - 1e-9
 
     def test_split_moves_center(self, rng):
         data = rng.standard_normal((2, 2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2, 2))
-        left, right, _ = split_two_site(TwoSiteTensor(data, 0), 8, 0.0, "right")
+        left, right, _ = split_two_site(data, 8, 0.0, "right")
         g = np.einsum("ivj,ivl->jl", left.conj(), left)
         np.testing.assert_allclose(g, np.eye(g.shape[0]), atol=1e-12)
-        left, right, _ = split_two_site(TwoSiteTensor(data, 0), 8, 0.0, "left")
+        left, right, _ = split_two_site(data, 8, 0.0, "left")
         g = np.einsum("ivj,lvj->il", right.conj(), right)
         np.testing.assert_allclose(g, np.eye(g.shape[0]), atol=1e-12)
+
+
+    def test_gesvd_fallback_when_gesdd_fails(self, rng, monkeypatch):
+        import scipy.linalg
+
+        data = rng.standard_normal((2, 2, 2, 3)) + 1j * rng.standard_normal((2, 2, 2, 3))
+        u, s, vh = scipy.linalg.svd(data.reshape(4, 6), full_matrices=False, lapack_driver="gesvd")
+        calls = []
+
+        def failing_svd(*args, **kwargs):
+            calls.append(args)
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        left, right, w = split_two_site(data, 8, 0.0, "right")
+        assert len(calls) == 1 and w == 0.0
+        np.testing.assert_allclose(left, u.reshape(2, 2, 4), atol=1e-12)
+        s_kept = s / np.linalg.norm(s)
+        np.testing.assert_allclose(right, (s_kept[:, None] * vh).reshape(4, 2, 3), atol=1e-12)
+
+
+def test_import_leaves_scipy_unloaded():
+    code = "import sys, mpstomo; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    src = str(Path(mpstomo.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={"PYTHONPATH": src}, capture_output=True,
+        text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestRenyi2:
@@ -288,6 +323,36 @@ class TestSerialization:
         assert (n, q) == (3, 2)
         bonds = np.frombuffer(raw, dtype="<u4", count=2, offset=12)
         assert list(bonds) == m.bond_dims
+
+    # W4 layout: 12-byte header, bonds (2, 2, 2) at byte 12, then site
+    # tensors of 4, 8, 8 and 4 complex entries at bytes 24, 88, 216 and 344;
+    # 408 bytes in all
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda raw: raw[:8], "byte 8: file ends inside the 12-byte header"),
+            (lambda raw: b"MPS2" + raw[4:], "byte 0: bad magic"),
+            (lambda raw: raw[:18], "byte 12: bond header runs past the end"),
+            (lambda raw: raw[:-8], "byte 344: site 3 tensor runs past the end"),
+            (lambda raw: raw[:16] + struct.pack("<I", 10**6) + raw[20:],
+             "byte 88: site 1 tensor runs past the end"),
+            (lambda raw: raw[:120] + struct.pack("<d", np.nan) + raw[128:],
+             "byte 120: non-finite entry in site 1"),
+            (lambda raw: raw[:224] + struct.pack("<d", -np.inf) + raw[232:],
+             "byte 216: non-finite entry in site 2"),
+            (lambda raw: raw + bytes(8), "byte 408: trailing bytes"),
+        ],
+        ids=["short-header", "bad-magic", "cut-bond-header", "cut-payload", "oversized-bond",
+             "nan-real", "inf-imag", "trailing"],
+    )
+    def test_malformed_file_names_byte_offset(self, tmp_path, mutate, message):
+        path = tmp_path / "w4.mps"
+        w_state(4, 0.1).save(path)
+        raw = path.read_bytes()
+        assert len(raw) == 408
+        path.write_bytes(mutate(raw))
+        with pytest.raises(FormatError, match=message):
+            load_mps(path)
 
     def test_rotation_of_rotated_z_is_identity(self):
         u = rotation_matrix((0.0, 1.3), 0.5)

@@ -219,6 +219,16 @@ class TestHistoryIO:
         with pytest.raises(FormatError, match="line 3"):
             read_history(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_float_reports_line(self, tmp_path, bad):
+        path = tmp_path / "history.csv"
+        write_history(path, [StageRecord(replicas=50, nll=2.0, r_real=0.1)])
+        text = path.read_text().splitlines()
+        text.append(f"1,100,1.5,{bad},,,,,,")
+        path.write_text("\n".join(text) + "\n")
+        with pytest.raises(FormatError, match="line 3: r_real is not finite"):
+            read_history(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "history.csv"
         path.write_text("")
