@@ -53,7 +53,7 @@ from .oracle import (
     fixed_basis_reconstruct,
     kl_divergence,
 )
-from .rotations import rotation_matrix, rotation_matrices, wigner_d, wigner_d_matrix
+from .rotations import rotation_matrices, wigner_d_matrix
 from .runner import (
     replicas_to_threshold,
     report,
@@ -61,14 +61,6 @@ from .runner import (
     run_tomography,
 )
 from .states import TargetSpec, build_target, cluster_state, dimer_state, random_target, w_state
-from .training import (
-    BondObjective,
-    LossReport,
-    loss_with_penalty,
-    nll,
-    sweep,
-    train_stage,
-    two_site_gradient,
-)
+from .training import BondObjective, LossReport, nll, train_stage
 
 __version__ = "0.1.0"

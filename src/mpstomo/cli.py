@@ -92,18 +92,18 @@ def _cmd_suite(args) -> int:
 def _cmd_virtual(args) -> int:
     cfg = _config_from_args(args)
     cfg.output_dir = None
+    cfg.c_estimate = None  # run_virtual runs without it; the run.cfg echoes say so
     trained = load_mps(args.model)
-    n_runs = args.runs if args.runs else cfg.virtual_runs
-    result = run_virtual(trained, cfg, n_runs=n_runs, seed=args.seed)
+    result = run_virtual(trained, cfg, n_runs=args.runs, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for i, hist in enumerate(result.histories):
         sub_cfg = replace(cfg, seed=args.seed + i, stop_on_threshold=False, blind=False)
         write_run_dir(out / f"virtual_{i:02d}", sub_cfg, hist, trained, None, source="virtual")
     (out / "calibration.txt").write_text(
-        f"c_mean = {result.mean!r}\nc_std = {result.std!r}\nn_runs = {n_runs}\n"
+        f"c_mean = {result.mean!r}\nc_std = {result.std!r}\nn_runs = {args.runs}\n"
     )
-    print(f"c_estimate = {result.mean:.6g} +- {result.std:.6g} over {n_runs} runs")
+    print(f"c_estimate = {result.mean:.6g} +- {result.std:.6g} over {args.runs} runs")
     return 0
 
 
@@ -169,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("virtual", help="calibrate the convergence constant")
     add_run_args(p)
     p.add_argument("--model", required=True, help="trained state (.mps)")
-    p.add_argument("--runs", type=int, default=0, help="virtual runs (default: config virtual_runs)")
+    p.add_argument("--runs", type=int, default=8, help="virtual runs (default: 8)")
     p.set_defaults(func=_cmd_virtual)
 
     p = sub.add_parser("fit", help="power-law fit on a history CSV")

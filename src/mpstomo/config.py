@@ -50,13 +50,17 @@ def _require_finite(cfg) -> None:
             raise ParameterError(f"{name} must be finite, got {value!r}")
 
 
+# upper bound of the noise-scaled truncation threshold (see TrainConfig)
+_ETA_CAP = 0.12
+
+
 @dataclass
 class TrainConfig:
     """Optimizer hyperparameters for the two-site sweeps.
 
     ``eta`` is the fixed relative SVD truncation floor.  When ``eta_noise``
     is positive, each bond additionally prunes singular values below
-    eta_noise * sqrt((D1 q + q D2) / (2 |V|)), capped at ``eta_cap``: the
+    eta_noise * sqrt((D1 q + q D2) / (2 |V|)), capped at _ETA_CAP = 0.12: the
     statistical magnitude that pure sampling noise induces on the merged
     tensor's singular values.  This is what lets the bond dimensions settle
     at the target's rank instead of absorbing shot noise; set eta_noise = 0
@@ -66,13 +70,11 @@ class TrainConfig:
     lambda0: float = 0.01
     lambda_decay: float = 0.9
     step_size: float = 0.05
-    grad_steps_per_bond: int = 10
     sweeps_per_stage: int = 20
     d_cap: int = 32
     eta: float = 1e-7
     convergence_tol: float = 1e-4
     eta_noise: float = 0.0
-    eta_cap: float = 0.12
 
     def validate(self) -> None:
         _require_finite(self)
@@ -82,21 +84,21 @@ class TrainConfig:
             raise ParameterError("lambda_decay must lie in (0, 1)")
         if self.step_size < 0:
             raise ParameterError("step_size must be >= 0")
-        if self.grad_steps_per_bond < 0 or self.sweeps_per_stage < 1:
-            raise ParameterError("need grad_steps_per_bond >= 0, sweeps_per_stage >= 1")
+        if self.sweeps_per_stage < 1:
+            raise ParameterError("sweeps_per_stage must be >= 1")
         if self.d_cap < 1 or self.eta < 0:
             raise ParameterError("need d_cap >= 1 and eta >= 0")
         if self.convergence_tol <= 0:
             raise ParameterError("convergence_tol must be > 0")
-        if self.eta_noise < 0 or not 0.0 < self.eta_cap <= 1.0:
-            raise ParameterError("need eta_noise >= 0 and eta_cap in (0, 1]")
+        if self.eta_noise < 0:
+            raise ParameterError("eta_noise must be >= 0")
 
     def bond_eta(self, d1, q, d2, n_shots) -> float:
         """Effective truncation threshold at one bond for ``n_shots`` samples."""
         if self.eta_noise == 0.0:
             return self.eta
         noise = self.eta_noise * np.sqrt((d1 * q + q * d2) / (2.0 * n_shots))
-        return max(self.eta, min(self.eta_cap, noise))
+        return max(self.eta, min(_ETA_CAP, noise))
 
 
 @dataclass
@@ -117,14 +119,11 @@ class ExperimentConfig:
     # noise-scaled truncation on by default: experiment runs must not let
     # bond dimensions absorb shot noise, or the fidelity plateaus early
     train: TrainConfig = field(default_factory=lambda: TrainConfig(eta_noise=1.0))
-    virtual_runs: int = 8
     seed: int = 0
     output_dir: str | None = None
     blind: bool = False
     stop_on_threshold: bool = True
-    init_bond_dim: int = 2
     c_estimate: float | None = None
-    save_shots: bool = True
 
     def validate(self) -> None:
         if self.target is None:
@@ -136,8 +135,6 @@ class ExperimentConfig:
             raise ParameterError("need batch_initial >= 1 and batch_growth >= 1")
         if not 0.0 <= self.noise_epsilon <= 1.0:
             raise ParameterError("noise_epsilon must lie in [0, 1]")
-        if self.virtual_runs < 1 or self.init_bond_dim < 1:
-            raise ParameterError("need virtual_runs >= 1 and init_bond_dim >= 1")
         if self.c_estimate is not None and self.c_estimate <= 0:
             raise ParameterError("c_estimate must be positive when given")
         self.train.validate()

@@ -258,11 +258,15 @@ def draw_shots(target, basis, count, rng, epsilon=0.0) -> Dataset:
     if isinstance(basis, MeasurementBasis):
         if basis.n_sites != n:
             raise ParameterError("basis length does not match the state")
-        basis = [np.broadcast_to(a, (count, n)) for a in (basis.thetas, basis.phis)]
-    thetas, phis = (np.array(a, dtype=float) for a in basis)
-    if thetas.shape != (count, n) or phis.shape != (count, n):
-        raise ParameterError("per-shot angles must have shape (count, n_sites)")
-    unitaries = [rotation_matrices(thetas[:, j], phis[:, j], target.spin) for j in range(n)]
+        # one rotation per site, seen by every shot through a stride-0 view
+        shared = rotation_matrices(basis.thetas, basis.phis, target.spin)
+        unitaries = [np.broadcast_to(u, (count, q, q)) for u in shared]
+        thetas, phis = (np.broadcast_to(a, (count, n)) for a in (basis.thetas, basis.phis))
+    else:
+        thetas, phis = (np.array(a, dtype=float) for a in basis)
+        if thetas.shape != (count, n) or phis.shape != (count, n):
+            raise ParameterError("per-shot angles must have shape (count, n_sites)")
+        unitaries = [rotation_matrices(thetas[:, j], phis[:, j], target.spin) for j in range(n)]
     noisy = rng.random(count) < epsilon if epsilon > 0.0 else None
     idx = _sample_outcome_indices(target, unitaries, count, rng)
     if noisy is not None and noisy.any():

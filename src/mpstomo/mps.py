@@ -42,13 +42,9 @@ def _robust_svd(mat):
 
 
 def _basis_angles(basis, n_sites):
-    """Accept a MeasurementBasis-like object or a (thetas, phis) pair."""
-    if hasattr(basis, "thetas") and hasattr(basis, "phis"):
-        thetas, phis = basis.thetas, basis.phis
-    else:
-        thetas, phis = basis
-    thetas = np.asarray(thetas, dtype=float)
-    phis = np.asarray(phis, dtype=float)
+    """The (thetas, phis) arrays of a MeasurementBasis-like object."""
+    thetas = np.asarray(basis.thetas, dtype=float)
+    phis = np.asarray(basis.phis, dtype=float)
     if thetas.shape != (n_sites,) or phis.shape != (n_sites,):
         raise ParameterError(
             f"basis has {thetas.shape} directions, state has {n_sites} sites"
@@ -125,9 +121,6 @@ class MatrixProductState:
     def tensor(self, k) -> np.ndarray:
         """The site-k tensor.  Treat as read-only."""
         return self._tensors[k]
-
-    def copy(self) -> "MatrixProductState":
-        return MatrixProductState(self._tensors, center=self._center, copy=True)
 
     def norm(self) -> float:
         if self._center is not None:
@@ -265,6 +258,9 @@ def load_mps(path) -> MatrixProductState:
         return arr
 
     bonds = read("<u4", max(n - 1, 0), "bond header")
+    zero = np.flatnonzero(bonds == 0)
+    if zero.size:
+        raise FormatError(f"{path}: byte {12 + 4 * zero[0]}: bond {zero[0]} has dimension 0")
     dims = [1, *bonds.tolist(), 1]
     tensors = []
     for k in range(n):

@@ -30,15 +30,6 @@ def _two_s(spin) -> int:
     return two
 
 
-def _m_index(spin, m) -> int:
-    """Map magnetic quantum number m to the row/column index S - m."""
-    two_s = _two_s(spin)
-    p2 = two_s - int(round(2 * m))
-    if abs(2 * m - int(round(2 * m))) > 1e-9 or p2 % 2 or not 0 <= p2 // 2 <= two_s:
-        raise ParameterError(f"invalid magnetic number m={m!r} for spin {spin}")
-    return p2 // 2
-
-
 @lru_cache(maxsize=None)
 def _d_terms(two_s):
     """Factorial-sum terms of the small-d matrix for 2S = two_s.
@@ -86,16 +77,6 @@ def _exact_sqrt_ratio(num_sq, den):
     return num_sq**0.5 / den
 
 
-def wigner_d(spin, m_row, m_col, theta) -> float:
-    """Small-d rotation element d^(S)_{m'm}(theta) for m' = m_row, m = m_col."""
-    pr = _m_index(spin, m_row)
-    pc = _m_index(spin, m_col)
-    terms = _d_terms(_two_s(spin))[pr][pc]
-    c = np.cos(theta / 2.0)
-    s = np.sin(theta / 2.0)
-    return float(sum(w * c**cp * s**sp for w, cp, sp in terms))
-
-
 def wigner_d_matrix(spin, theta) -> np.ndarray:
     """Full small-d matrix; ``theta`` may be a scalar or an array.
 
@@ -136,12 +117,6 @@ def rotation_matrices(thetas, phis, spin) -> np.ndarray:
     if np.any(pole):
         u[pole] = np.eye(q)
     return u
-
-
-def rotation_matrix(direction, spin) -> np.ndarray:
-    """Single q x q rotation for ``direction = (theta, phi)``."""
-    theta, phi = direction
-    return rotation_matrices(np.asarray(theta, float), np.asarray(phi, float), spin)
 
 
 def spin_operators(spin):

@@ -32,6 +32,9 @@ from .mps import MatrixProductState, load_mps, random_init
 from .states import TargetSpec, build_target
 from .training import train_stage, write_loss_history
 
+# bond dimension of the random starting state
+_INIT_BOND_DIM = 2
+
 
 def resolve_target(target) -> MatrixProductState:
     if isinstance(target, MatrixProductState):
@@ -64,7 +67,7 @@ def run_tomography(config: ExperimentConfig):
     target = resolve_target(config.target)
     n, q = target.n_sites, target.local_dim
     shot_rng = np.random.default_rng([config.seed, 0x5E1EC7])
-    model = random_init(n, q, config.init_bond_dim, seed=config.seed)
+    model = random_init(n, q, _INIT_BOND_DIM, seed=config.seed)
     dataset = Dataset(n, q)
     history: list[StageRecord] = []
     prev_model = None
@@ -179,7 +182,7 @@ def write_run_dir(
     out.mkdir(parents=True, exist_ok=True)
     write_history(out / "history.csv", history)
     model.save(out / "model.mps")
-    if dataset is not None and config.save_shots:
+    if dataset is not None:
         dataset.to_file(out / "shots.txt")
     if loss_reports is not None:
         write_loss_history(out / "losses.csv", loss_reports)
@@ -284,7 +287,9 @@ def report(run_dirs, out_dir) -> dict[str, Path]:
     Emits summary.csv plus per-figure series: replica demand versus system
     size (fig2), versus target bond dimension (fig3), stagewise distances
     and their ratio with a real/virtual source column (fig4), and replica
-    demand versus noise level (fig5).
+    demand versus noise level (fig5).  Virtual runs appear in summary.csv
+    and fig4 only: fig2, fig3 and fig5 have no source column and hold the
+    replica demand of real runs.
     """
     dirs = [Path(d) for d in run_dirs]
     if not dirs:
@@ -339,7 +344,7 @@ def report(run_dirs, out_dir) -> dict[str, Path]:
                     _fmt(ratio),
                 ]
             )
-        if reached is not None and kind:
+        if reached is not None and kind and source != "virtual":
             if kind.lower() == "random":
                 fig3.append([n_sites, d_max, reached])
             else:

@@ -34,6 +34,8 @@ from .rotations import rotation_matrices
 _PROB_FLOOR = 1e-12
 # a bond step that raises the loss is rejected and the step size scaled by this
 _STEP_SHRINK = 0.5
+# gradient steps tried per bond visit
+_GRAD_STEPS = 10
 
 
 @dataclass
@@ -118,11 +120,6 @@ def nll(mps, dataset) -> float:
     _check_dataset(mps, dataset)
     tensors = [mps.tensor(j) for j in range(mps.n_sites)]
     return _chain_nll(tensors, _site_rows(dataset, mps.spin))
-
-
-def loss_with_penalty(mps, dataset, bond, lam) -> LossReport:
-    """NLL plus lam times the Renyi-2 entropy across ``bond``."""
-    return LossReport.build(nll(mps, dataset), mps.renyi2_entropy(bond), lam)
 
 
 class BondObjective:
@@ -222,18 +219,11 @@ class BondObjective:
         return grad
 
 
-def two_site_gradient(mps, bond, dataset, penalty_weight) -> np.ndarray:
-    """Ascent direction of -L for the merged tensor at ``bond``."""
-    work = mps if mps.canonical_center in (bond, bond + 1) else mps.canonicalize(bond)
-    obj = BondObjective(work, bond, dataset, penalty_weight)
-    return obj.gradient(work.merge_adjacent(bond))
-
-
 def _optimize_bond(obj, merged, config):
     step = config.step_size
     amps = obj.amplitudes(merged)
     loss = obj.loss(merged, amps)
-    for _ in range(config.grad_steps_per_bond):
+    for _ in range(_GRAD_STEPS):
         if step == 0.0:
             break
         grad = obj.gradient(merged, amps)
@@ -258,14 +248,12 @@ class _SweepEngine:
             raise ParameterError("training needs at least 2 sites")
         start = mps.canonicalize(0)
         self.tensors = [start.tensor(k).copy() for k in range(mps.n_sites)]
-        self.spin = mps.spin
         self.n = mps.n_sites
         self.cfg = config
-        self.rows = _site_rows(dataset, self.spin)
+        self.rows = _site_rows(dataset, mps.spin)
         self.left = _left_envs(self.tensors, self.rows, 0)
         self.right = _right_envs(self.tensors, self.rows, 2)
         self.center = 0
-        self.clamped = 0
 
     def _train_bond(self, k, lam, move):
         cfg = self.cfg
@@ -274,7 +262,6 @@ class _SweepEngine:
         )
         merged = np.einsum("ivj,jwl->ivwl", self.tensors[k], self.tensors[k + 1])
         merged = _optimize_bond(obj, merged, cfg)
-        self.clamped += obj.clamped_last
         merged /= np.linalg.norm(merged)
         d1, q, _, d2 = merged.shape
         eta = cfg.bond_eta(d1, q, d2, obj.count)
@@ -307,13 +294,6 @@ class _SweepEngine:
 
     def to_mps(self) -> MatrixProductState:
         return MatrixProductState(self.tensors, center=self.center, copy=True)
-
-
-def sweep(mps, dataset, config, lam) -> tuple[MatrixProductState, LossReport]:
-    """Run a single two-site sweep and return the updated state and its loss."""
-    engine = _SweepEngine(mps, dataset, config)
-    rep = engine.sweep(lam)
-    return engine.to_mps(), rep
 
 
 def write_loss_history(path, reports) -> None:

@@ -35,7 +35,7 @@ from mpstomo import (
     estimate_fidelity,
 )
 from mpstomo.oracle import DenseState
-from mpstomo.rotations import rotation_matrix, wigner_d_matrix
+from mpstomo.rotations import rotation_matrices, wigner_d_matrix
 from mpstomo.training import BondObjective
 
 from test_training import fd_gradient
@@ -262,7 +262,7 @@ def test_criterion_10_invariant_suite():
     for s in (0.5, 1.0, 1.5):
         q = int(2 * s) + 1
         for _ in range(10):
-            u = rotation_matrix((rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)), s)
+            u = rotation_matrices(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi), s)
             assert np.max(np.abs(u @ u.conj().T - np.eye(q))) < 1e-12
         d1 = wigner_d_matrix(s, 0.7)
         d2 = wigner_d_matrix(s, -1.9)

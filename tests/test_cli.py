@@ -148,6 +148,20 @@ class TestVirtualCommand:
         assert (tmp_path / "virt" / "virtual_00" / "history.csv").exists()
         text = capsys.readouterr().out
         assert "c_estimate" in text
+        # the virtual runs ran without the config's c_estimate, and their
+        # run.cfg echoes say so
+        virt = tmp_path / "virt2"
+        with open(cfg, "a") as f:
+            f.write("c_estimate = 0.2\n")
+        rc = main([
+            "virtual", "--model", str(out / "model.mps"), "--config", cfg,
+            "--runs", "1", "--seed", "9", "--out", str(virt),
+        ])
+        assert rc == 0
+        echoed = (virt / "virtual_00" / "run.cfg").read_text()
+        assert "c_estimate" not in echoed and "source = virtual" in echoed
+        first = (tmp_path / "virt" / "virtual_00" / "history.csv").read_bytes()
+        assert (virt / "virtual_00" / "history.csv").read_bytes() == first
 
     def test_truncated_model_exit_code(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "exp.cfg", BASE_CFG)
@@ -160,6 +174,19 @@ class TestVirtualCommand:
         ])
         assert rc == 2
         assert "byte 344: site 3 tensor runs past the end" in capsys.readouterr().err
+
+    def test_zero_bond_model_exit_code(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "exp.cfg", BASE_CFG)
+        model = tmp_path / "w4.mps"
+        w_state(4, 0.1).save(model)
+        raw = model.read_bytes()
+        model.write_bytes(raw[:16] + (0).to_bytes(4, "little") + raw[20:])
+        rc = main([
+            "virtual", "--model", str(model), "--config", cfg,
+            "--runs", "2", "--seed", "9", "--out", str(tmp_path / "virt"),
+        ])
+        assert rc == 2
+        assert "byte 16: bond 1 has dimension 0" in capsys.readouterr().err
 
     def test_same_seed_identical_runs(self, tmp_path):
         from mpstomo import ExperimentConfig, TargetSpec, TrainConfig, run_virtual

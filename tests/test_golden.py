@@ -2,8 +2,11 @@
 
 Two fixed runs (W N=6 and Random N=6, D=3) are hashed artifact by artifact.
 ``run.cfg`` is hashed without its ``output_dir`` line, which names the
-temporary directory.  A change that alters numerics must regenerate these
-hashes and say so in CHANGES.md; run this file as a script to print them:
+temporary directory.  The virtual path is pinned too: ``mpstomo virtual
+--runs 2`` on the W6 run's model, hashing ``calibration.txt`` and each
+``virtual_NN/history.csv``.  A change that alters numerics must regenerate
+these hashes and say so in CHANGES.md; run this file as a script to print
+them:
 
     python tests/test_golden.py
 """
@@ -15,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from mpstomo import ExperimentConfig, TargetSpec, TrainConfig, run_tomography
+from mpstomo.cli import main
 
 ARTIFACTS = ("history.csv", "model.mps", "shots.txt", "losses.csv", "run.cfg")
 
@@ -29,16 +33,32 @@ GOLDEN = {
         "model.mps": "0aec9233b87737a108d4c61024135b71e354b349afdd9f8dda38c2355a802fdd",
         "shots.txt": "c699232f89989e7eb7e7ad33b7bfd5badeebfa14fe0cd2916911d76846af5d77",
         "losses.csv": "8e24a173d09ae66aff70f4045ee6f548e934b6001ef3e6cd2c44c4c96babe3dd",
-        "run.cfg": "684b7ec21a6c11cd2dde2189f1b0b1d6cf30fd60dd8944c2c82a9dd66c73cd48",
+        "run.cfg": "34823adaf47b80d9a0b80cce9d1264ccebacbf0d053c5a05b1ad3da5c1e3918f",
     },
     "w6": {
         "history.csv": "07ebf500226820dabb2704d1c67ce9c1f433b1d993f7e7ebcfb43356d0ddd381",
         "model.mps": "3d8113bddb452b9fffa272ce843276379a83d24b5ab28b63826daab8fb083b67",
         "shots.txt": "bacbf2595b3a544d4afc50d9067d38b59720487a960ed5c8377ded477a442a8f",
         "losses.csv": "a7378e28cc9a307bba6c20f3f4002e52ebaa370955fbf956d4ad8db0fb1f3679",
-        "run.cfg": "2cb61903d0fc81c87319c3d7d003958f7db25b17a60e8a9e622ff0076aa1382c",
+        "run.cfg": "97116328c7e569425eebc19fb3548f8e6854643ee25bb852168daa04b1159986",
     },
 }
+
+GOLDEN_VIRTUAL = {
+    "calibration.txt": "1b0494da4a8b639d03dd8760170308a0196b8ad8316b436b24067a79dac7a97b",
+    "virtual_00/history.csv": "90b84b5fde4e0406e2d55fef83402b523ae3a8b852976c447e5a3e433caff1e1",
+    "virtual_01/history.csv": "ad49e36689538dc79e509287f92a7cecaa47c2e70289e8a8d295ac177dfc5ba8",
+}
+
+# the protocol of _config in the flat format, for the CLI's virtual command
+VIRTUAL_CONFIG = """\
+max_replicas = 1500
+batch_max = 300
+stop_on_threshold = false
+train.d_cap = 8
+train.eta_noise = 1.0
+"""
+VIRTUAL_ARTIFACTS = ("calibration.txt", "virtual_00/history.csv", "virtual_01/history.csv")
 
 
 def _config(target, out_dir):
@@ -68,9 +88,31 @@ def artifact_hashes(name, out_dir) -> dict[str, str]:
     return out
 
 
+def virtual_hashes(work_dir) -> dict[str, str]:
+    """Calibrate on the W6 golden model with two virtual runs and hash the
+    calibration and each virtual run's history."""
+    work = Path(work_dir)
+    run_tomography(_config(RUNS["w6"], work / "w6"))
+    (work / "virtual.cfg").write_text(VIRTUAL_CONFIG)
+    rc = main([
+        "virtual", "--model", str(work / "w6" / "model.mps"),
+        "--config", str(work / "virtual.cfg"),
+        "--runs", "2", "--seed", "99", "--out", str(work / "virtual"),
+    ])
+    assert rc == 0
+    return {
+        name: hashlib.sha256((work / "virtual" / name).read_bytes()).hexdigest()
+        for name in VIRTUAL_ARTIFACTS
+    }
+
+
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_artifacts_match_golden_hashes(name, tmp_path):
     assert artifact_hashes(name, tmp_path) == GOLDEN[name]
+
+
+def test_virtual_artifacts_match_golden_hashes(tmp_path):
+    assert virtual_hashes(tmp_path) == GOLDEN_VIRTUAL
 
 
 if __name__ == "__main__":
@@ -81,3 +123,9 @@ if __name__ == "__main__":
         for artifact, digest in hashes.items():
             print(f'        "{artifact}": "{digest}",')
         print("    },")
+    with tempfile.TemporaryDirectory() as tmp:
+        hashes = virtual_hashes(tmp)
+    print("GOLDEN_VIRTUAL = {")
+    for artifact, digest in hashes.items():
+        print(f'    "{artifact}": "{digest}",')
+    print("}")

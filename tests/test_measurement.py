@@ -20,7 +20,7 @@ from mpstomo import (
     w_state,
 )
 from mpstomo.oracle import DenseState, dense_probabilities
-from mpstomo.rotations import rotation_matrices, rotation_matrix, spin_operators, wigner_d, wigner_d_matrix
+from mpstomo.rotations import rotation_matrices, spin_operators, wigner_d_matrix
 
 
 def outcome_codes(dataset):
@@ -31,10 +31,12 @@ def outcome_codes(dataset):
 
 class TestWignerD:
     def test_spin_half_elements(self):
+        # index p = S - m: m = +1/2 is row/column 0, m = -1/2 is 1
         for theta in (0.0, 0.4, 1.7, 3.0):
-            assert abs(wigner_d(0.5, 0.5, 0.5, theta) - np.cos(theta / 2)) < 1e-12
-            assert abs(wigner_d(0.5, -0.5, 0.5, theta) - np.sin(theta / 2)) < 1e-12
-            assert abs(wigner_d(0.5, 0.5, -0.5, theta) + np.sin(theta / 2)) < 1e-12
+            d = wigner_d_matrix(0.5, theta)
+            assert abs(d[0, 0] - np.cos(theta / 2)) < 1e-12
+            assert abs(d[1, 0] - np.sin(theta / 2)) < 1e-12
+            assert abs(d[0, 1] + np.sin(theta / 2)) < 1e-12
 
     def test_identity_at_zero(self):
         for s in (0.5, 1.0, 1.5):
@@ -61,11 +63,11 @@ class TestWignerD:
 
 class TestRotationMatrix:
     def test_z_direction_exact_identity(self):
-        np.testing.assert_array_equal(rotation_matrix((0.0, 0.0), 0.5), np.eye(2))
-        np.testing.assert_array_equal(rotation_matrix((0.0, 2.1), 0.5), np.eye(2))
+        np.testing.assert_array_equal(rotation_matrices(0.0, 0.0, 0.5), np.eye(2))
+        np.testing.assert_array_equal(rotation_matrices(0.0, 2.1, 0.5), np.eye(2))
 
     def test_x_direction_columns(self):
-        u = rotation_matrix((np.pi / 2, 0.0), 0.5)
+        u = rotation_matrices(np.pi / 2, 0.0, 0.5)
         # columns of U^dagger are the x eigenstates
         assert abs(abs(u.conj().T[0, 0]) ** 2 - 0.5) < 1e-12
 
@@ -73,7 +75,7 @@ class TestRotationMatrix:
     def test_unitary(self, s, rng):
         q = int(2 * s) + 1
         for _ in range(5):
-            u = rotation_matrix((rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)), s)
+            u = rotation_matrices(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi), s)
             np.testing.assert_allclose(u @ u.conj().T, np.eye(q), atol=1e-12)
 
     @pytest.mark.parametrize("s", [0.5, 1.0])
@@ -83,7 +85,7 @@ class TestRotationMatrix:
         for _ in range(5):
             th = rng.uniform(0, np.pi)
             ph = rng.uniform(0, 2 * np.pi)
-            u = rotation_matrix((th, ph), s)
+            u = rotation_matrices(th, ph, s)
             ns = np.sin(th) * np.cos(ph) * sx + np.sin(th) * np.sin(ph) * sy + np.cos(th) * sz
             evals, evecs = np.linalg.eigh(ns)
             for i, m in enumerate(evals):
@@ -96,7 +98,7 @@ class TestRotationMatrix:
         phis = rng.uniform(0, 2 * np.pi, 7)
         batch = rotation_matrices(thetas, phis, 0.5)
         for i in range(7):
-            np.testing.assert_allclose(batch[i], rotation_matrix((thetas[i], phis[i]), 0.5), atol=1e-14)
+            np.testing.assert_allclose(batch[i], rotation_matrices(thetas[i], phis[i], 0.5), atol=1e-14)
 
 
 class TestSampleBasis:
@@ -169,6 +171,19 @@ class TestDrawShot:
         exp_k *= obs_k.sum() / exp_k.sum()
         _, pvalue = chisquare(obs_k, exp_k)
         assert pvalue > 1e-3
+
+    def test_shared_basis_matches_per_shot_angles(self):
+        # a shared basis rotates each site once; the outcomes must equal those
+        # of the same basis spelled out per shot, bit for bit
+        target = random_target(5, 3, seed=8)
+        basis = sample_basis(5, np.random.default_rng(3))
+        count = 20_000
+        per_shot = [np.tile(a, (count, 1)) for a in (basis.thetas, basis.phis)]
+        a = draw_shots(target, basis, count, np.random.default_rng(12), epsilon=0.1)
+        b = draw_shots(target, per_shot, count, np.random.default_rng(12), epsilon=0.1)
+        np.testing.assert_array_equal(a.outcome_indices, b.outcome_indices)
+        np.testing.assert_array_equal(a.thetas, b.thetas)
+        np.testing.assert_array_equal(a.phis, b.phis)
 
     def test_single_shot_wrapper(self):
         rng = np.random.default_rng(4)

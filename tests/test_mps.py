@@ -20,7 +20,7 @@ from mpstomo import (
     split_two_site,
     w_state,
 )
-from mpstomo.rotations import rotation_matrix
+from mpstomo.rotations import rotation_matrices
 
 from conftest import dense_from_tensors
 
@@ -341,9 +341,11 @@ class TestSerialization:
             (lambda raw: raw[:224] + struct.pack("<d", -np.inf) + raw[232:],
              "byte 216: non-finite entry in site 2"),
             (lambda raw: raw + bytes(8), "byte 408: trailing bytes"),
+            (lambda raw: raw[:16] + struct.pack("<I", 0) + raw[20:],
+             "byte 16: bond 1 has dimension 0"),
         ],
         ids=["short-header", "bad-magic", "cut-bond-header", "cut-payload", "oversized-bond",
-             "nan-real", "inf-imag", "trailing"],
+             "nan-real", "inf-imag", "trailing", "zero-bond"],
     )
     def test_malformed_file_names_byte_offset(self, tmp_path, mutate, message):
         path = tmp_path / "w4.mps"
@@ -355,5 +357,5 @@ class TestSerialization:
             load_mps(path)
 
     def test_rotation_of_rotated_z_is_identity(self):
-        u = rotation_matrix((0.0, 1.3), 0.5)
+        u = rotation_matrices(0.0, 1.3, 0.5)
         np.testing.assert_array_equal(u, np.eye(2))

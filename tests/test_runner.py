@@ -298,6 +298,12 @@ class TestReport:
         lines = out["fig4_convergence.csv"].read_text().splitlines()[1:]
         sources = {line.split(",")[1] for line in lines}
         assert sources == {"real", "virtual"}
+        summary = out["summary.csv"].read_text().splitlines()[1:]
+        assert {line.split(",")[1] for line in summary} == {"real", "virtual"}
+        # the replica-demand figures have no source column: real runs only
+        assert replicas_to_threshold(history, cfg.fidelity_threshold) is not None
+        for name in ("fig2_size.csv", "fig5_noise.csv"):
+            assert len(out[name].read_text().splitlines()) == 2, name
 
     def test_malformed_history_line_number(self, tmp_path):
         self._make_run(tmp_path, "r1")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,14 +11,11 @@ from mpstomo import (
     ParameterError,
     TrainConfig,
     draw_shots,
-    loss_with_penalty,
     measure_batch,
     nll,
     random_init,
     random_target,
-    sweep,
     train_stage,
-    two_site_gradient,
     w_state,
 )
 from mpstomo.oracle import DenseState, dense_probability
@@ -80,27 +79,6 @@ class TestNll:
 
 
 class TestLossWithPenalty:
-    def test_zero_weight_is_nll(self, rng):
-        target = w_state(4, 0.0)
-        ds = measure_batch(target, 50, 0.0, rng)
-        rep = loss_with_penalty(target, ds, 1, 0.0)
-        assert rep.total == rep.nll
-        assert rep.lam == 0.0
-
-    def test_product_state_no_penalty(self, rng):
-        m = product_state(4)
-        ds = measure_batch(m, 30, 0.0, rng)
-        for k in range(3):
-            assert abs(loss_with_penalty(m, ds, k, 0.7).penalty) < 1e-12
-
-    def test_bell_pair_arithmetic(self, rng):
-        from mpstomo import dimer_state
-
-        m = dimer_state(2)
-        ds = measure_batch(m, 40, 0.0, rng)
-        rep = loss_with_penalty(m, ds, 0, 0.5)
-        assert abs(rep.total - (rep.nll + 0.5 * np.log(2))) < 1e-12
-
     def test_report_invariant(self):
         rep = LossReport.build(1.25, 0.5, 0.3)
         assert abs(rep.total - (rep.nll + rep.lam * rep.penalty)) < 1e-12
@@ -132,8 +110,8 @@ class TestTwoSiteGradient:
         target = random_target(4, 2, seed=9)
         ds = measure_batch(target, 60, 0.0, rng)
         model = random_init(4, 2, 3, seed=1).canonicalize(1)
-        grad = two_site_gradient(model, 1, ds, 0.0)
         merged = model.merge_adjacent(1)
+        grad = BondObjective(model, 1, ds, 0.0).gradient(merged)
         ip = np.vdot(grad, merged)
         assert abs(ip.real) < 1e-9
 
@@ -141,7 +119,7 @@ class TestTwoSiteGradient:
         rng = np.random.default_rng(8)
         target = random_target(4, 2, seed=4).canonicalize(1)
         ds = measure_batch(target, 10_000, 0.0, rng)
-        grad = two_site_gradient(target, 1, ds, 0.0)
+        grad = BondObjective(target, 1, ds, 0.0).gradient(target.merge_adjacent(1))
         assert np.linalg.norm(grad) < 0.1
 
     def test_unnormalized_merged_tensor(self, rng):
@@ -161,18 +139,18 @@ class TestSweep:
         target = product_state(4)
         ds = draw_shots(target, MeasurementBasis.all_z(4), 300, rng)
         model = random_init(4, 2, 2, seed=1)
-        cfg = TrainConfig(d_cap=4)
+        cfg = TrainConfig(d_cap=4, sweeps_per_stage=1)
         for i in range(2):
-            model, rep = sweep(model, ds, cfg, 0.01 * 0.9**i)
-        assert rep.nll < 0.01
+            model, reps = train_stage(model, ds, replace(cfg, lambda0=0.01 * 0.9**i))
+        assert reps[0].nll < 0.01
 
     def test_huge_penalty_kills_entanglement(self, rng):
         target = w_state(5, 0.0)
         ds = measure_batch(target, 300, 0.0, rng)
         model = random_init(5, 2, 4, seed=2)
-        cfg = TrainConfig(d_cap=8)
+        cfg = TrainConfig(d_cap=8, sweeps_per_stage=1, lambda0=1e3)
         for _ in range(3):
-            model, _ = sweep(model, ds, cfg, 1e3)
+            model, _ = train_stage(model, ds, cfg)
         for k in range(4):
             assert model.renyi2_entropy(k) < 0.05
 
@@ -180,8 +158,8 @@ class TestSweep:
         target = w_state(4, 0.1)
         ds = measure_batch(target, 100, 0.0, rng)
         model = random_init(4, 2, 2, seed=5)
-        cfg = TrainConfig(step_size=0.0, eta=0.0, eta_noise=0.0, d_cap=64)
-        out, _ = sweep(model, ds, cfg, 0.01)
+        cfg = TrainConfig(step_size=0.0, eta=0.0, eta_noise=0.0, d_cap=64, sweeps_per_stage=1)
+        out, _ = train_stage(model, ds, cfg)
         before = model.to_dense()
         after = out.to_dense()
         phase = after[np.argmax(np.abs(after))] / before[np.argmax(np.abs(after))]
@@ -192,7 +170,8 @@ class TestSweep:
 
         target = w_state(5, 0.0)
         ds = measure_batch(target, 200, 0.0, rng)
-        model, _ = sweep(random_init(5, 2, 3, seed=7), ds, TrainConfig(d_cap=8), 0.01)
+        cfg = TrainConfig(d_cap=8, sweeps_per_stage=1)
+        model, _ = train_stage(random_init(5, 2, 3, seed=7), ds, cfg)
         assert abs(model.norm() - 1.0) < 1e-10
         assert max_canonical_defect(model) < 1e-10
 
@@ -262,6 +241,6 @@ class TestTrainConfig:
         assert cfg.bond_eta(4, 2, 4, 100) == cfg.eta
 
     def test_bond_eta_noise_scale(self):
-        cfg = TrainConfig(eta_noise=1.0, eta_cap=0.12)
+        cfg = TrainConfig(eta_noise=1.0)
         assert cfg.bond_eta(2, 2, 2, 10_000) == pytest.approx(np.sqrt(8 / 20_000))
         assert cfg.bond_eta(8, 2, 8, 50) == 0.12
