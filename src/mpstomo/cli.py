@@ -13,14 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import ExperimentConfig, build_experiment_config, load_config
-from .errors import (
-    DegenerateStateError,
-    EstimateOutOfRegime,
-    ParameterError,
-    ResourceError,
-    StateError,
-    TomographyError,
-)
+from .errors import ParameterError, ResourceError, TomographyError
 from .estimation import fit_power_law, run_virtual
 from .mps import load_mps
 from .runner import (
@@ -191,10 +184,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterError, ResourceError) as exc:
+    except (ParameterError, ResourceError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DegenerateStateError, StateError, EstimateOutOfRegime, TomographyError) as exc:
+    except TomographyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -2,7 +2,9 @@
 
 Config files are plain text, one ``key = value`` per line, with dotted
 prefixes for nested sections (``train.lambda0 = 0.01``, ``target.kind = w``).
-Blank lines and ``#`` comments are ignored.  Unknown keys are an error.
+Blank lines and ``#`` comments are ignored.  Unknown keys are an error,
+except ``source``: the run annotation a run directory's ``run.cfg`` ends
+with, so that file loads back as a config.
 """
 
 from __future__ import annotations
@@ -190,6 +192,8 @@ def build_experiment_config(mapping, base=None) -> ExperimentConfig:
     for key, raw in mapping.items():
         if key == "target.path":
             target_path = raw.strip()
+            continue
+        if key == "source":  # run annotation, not a setting
             continue
         prefix = next(p for p in _SECTIONS if key.startswith(p))
         cls = _SECTIONS[prefix]

@@ -197,11 +197,9 @@ def sample_basis(n_sites, rng) -> MeasurementBasis:
     return MeasurementBasis(thetas[0], phis[0])
 
 
-def fixed_bases(n_sites, local_dim=2) -> list[MeasurementBasis]:
-    """The 2N+1 fixed product bases: all-z, then z with site k rotated to x,
-    then z with site k rotated to y.  Qubits only."""
-    if local_dim != 2:
-        raise ParameterError("fixed basis set is defined for qubits (q = 2) only")
+def fixed_bases(n_sites) -> list[MeasurementBasis]:
+    """The 2N+1 fixed qubit product bases: all-z, then z with site k rotated
+    to x, then z with site k rotated to y."""
     bases = [MeasurementBasis.all_z(n_sites)]
     for phi in (0.0, np.pi / 2.0):
         for k in range(n_sites):

@@ -52,6 +52,14 @@ def _basis_angles(basis, n_sites):
     return thetas, phis
 
 
+def _overlap(bras, kets) -> complex:
+    """<bra|ket> of two site-tensor chains of equal length and local dimension."""
+    env = np.ones((1, 1), dtype=np.complex128)
+    for a, b in zip(bras, kets):
+        env = np.einsum("ab,avc,bvd->cd", env, a.conj(), b)
+    return complex(env[0, 0])
+
+
 def outcome_indices(outcomes, local_dim) -> np.ndarray:
     """Convert magnetic numbers m (or index arrays) to indices p = S - m."""
     arr = np.asarray(outcomes, dtype=float)
@@ -123,12 +131,7 @@ class MatrixProductState:
         return self._tensors[k]
 
     def norm(self) -> float:
-        if self._center is not None:
-            return float(np.linalg.norm(self._tensors[self._center]))
-        env = np.ones((1, 1), dtype=np.complex128)
-        for t in self._tensors:
-            env = np.einsum("ab,avc,bvd->cd", env, t.conj(), t)
-        return float(np.sqrt(abs(env[0, 0])))
+        return float(np.sqrt(abs(_overlap(self._tensors, self._tensors))))
 
     # -- gauge -------------------------------------------------------------
 
@@ -165,11 +168,11 @@ class MatrixProductState:
             vec = vec @ site
         return complex(vec[0])
 
-    def to_dense(self, limit=DENSE_LIMIT) -> np.ndarray:
+    def to_dense(self) -> np.ndarray:
         """Full state vector of length q**N, site 0 as the most significant digit."""
         q, n = self.local_dim, self.n_sites
-        if q**n > limit:
-            raise ResourceError(f"dense vector of size {q}**{n} exceeds limit {limit}")
+        if q**n > DENSE_LIMIT:
+            raise ResourceError(f"dense vector of size {q}**{n} exceeds limit {DENSE_LIMIT}")
         acc = self._tensors[0][0]  # (q, D)
         for t in self._tensors[1:]:
             acc = np.einsum("xi,ivj->xvj", acc, t)
@@ -182,10 +185,7 @@ class MatrixProductState:
             raise ParameterError("can only compare against another state")
         if other.n_sites != self.n_sites or other.local_dim != self.local_dim:
             raise ParameterError("states differ in shape")
-        env = np.ones((1, 1), dtype=np.complex128)
-        for a, b in zip(self._tensors, other._tensors):
-            env = np.einsum("ab,avc,bvd->cd", env, a.conj(), b)
-        f = min(abs(complex(env[0, 0])), 1.0)
+        f = min(abs(_overlap(self._tensors, other._tensors)), 1.0)
         return f, float(np.sqrt((1.0 - f * f) / 2.0))
 
     # -- two-site operations -------------------------------------------------
@@ -243,6 +243,10 @@ def load_mps(path) -> MatrixProductState:
     if raw[:4] != _MAGIC:
         raise FormatError(f"{path}: byte 0: bad magic {raw[:4]!r}")
     n, q = struct.unpack_from("<II", raw, 4)
+    if n < 1:
+        raise FormatError(f"{path}: byte 4: {n} sites, need at least 1")
+    if q < 2:
+        raise FormatError(f"{path}: byte 8: local dimension {q}, need at least 2")
     off = 12
 
     def read(dtype, count, what):
@@ -275,6 +279,27 @@ def load_mps(path) -> MatrixProductState:
     return MatrixProductState(tensors, center=None)
 
 
+def _gaussian_chain(n_sites, local_dim, bond_dim, seed, scale=1.0, offset=0.0):
+    """Canonicalized, normalized chain of site tensors scale * (a + ib), with
+    standard normal a then b drawn per site and ``offset`` added at [0, 0, 0];
+    bonds min(bond_dim, q^k, q^(N-k)).  Deterministic for a fixed seed."""
+    rng = np.random.default_rng(seed)
+    tensors = []
+    for k in range(n_sites):
+        d1 = min(bond_dim, local_dim**k, local_dim ** (n_sites - k))
+        d2 = min(bond_dim, local_dim ** (k + 1), local_dim ** (n_sites - k - 1))
+        shape = (d1, local_dim, d2)
+        t = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        t[0, 0, 0] += offset
+        tensors.append(t)
+    mps = MatrixProductState(tensors, copy=False).canonicalize(0)
+    nrm = np.linalg.norm(mps._tensors[0])
+    if nrm == 0:
+        raise DegenerateStateError("random initialization collapsed to zero")
+    mps._tensors[0] /= nrm
+    return mps
+
+
 def random_init(n_sites, local_dim, bond_dim, seed) -> MatrixProductState:
     """Normalized near-product starting state.
 
@@ -284,24 +309,9 @@ def random_init(n_sites, local_dim, bond_dim, seed) -> MatrixProductState:
     """
     if n_sites < 2 or local_dim < 2 or bond_dim < 1:
         raise ParameterError("need n_sites >= 2, local_dim >= 2, bond_dim >= 1")
-    rng = np.random.default_rng(seed)
-    scale = 0.2 / np.sqrt(2.0)
-    tensors = []
-    for k in range(n_sites):
-        d1 = min(bond_dim, local_dim**k, local_dim ** (n_sites - k))
-        d2 = min(bond_dim, local_dim ** (k + 1), local_dim ** (n_sites - k - 1))
-        t = scale * (
-            rng.standard_normal((d1, local_dim, d2))
-            + 1j * rng.standard_normal((d1, local_dim, d2))
-        )
-        t[0, 0, 0] += 1.0
-        tensors.append(t)
-    mps = MatrixProductState(tensors, copy=False).canonicalize(0)
-    nrm = np.linalg.norm(mps._tensors[0])
-    if nrm == 0:
-        raise DegenerateStateError("random initialization collapsed to zero")
-    mps._tensors[0] /= nrm
-    return mps
+    return _gaussian_chain(
+        n_sites, local_dim, bond_dim, seed, scale=0.2 / np.sqrt(2.0), offset=1.0
+    )
 
 
 def split_two_site(merged, d_cap, eta, direction) -> tuple[np.ndarray, np.ndarray, float]:

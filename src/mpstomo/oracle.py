@@ -44,8 +44,8 @@ class DenseState:
         return (self.local_dim - 1) / 2.0
 
     @classmethod
-    def from_mps(cls, mps, limit=DENSE_LIMIT) -> "DenseState":
-        vec = mps.to_dense(limit)
+    def from_mps(cls, mps) -> "DenseState":
+        vec = mps.to_dense()
         vec = vec / np.linalg.norm(vec)
         return cls(vec, mps.n_sites, mps.local_dim)
 
@@ -117,9 +117,7 @@ def fixed_basis_probabilities(state) -> list[np.ndarray]:
     return [dense_probabilities(state, b) for b in fixed_bases(state.n_sites)]
 
 
-def fixed_basis_reconstruct(
-    tables, n_sites, floor=RECONSTRUCTION_FLOOR
-) -> DenseState:
+def fixed_basis_reconstruct(tables, n_sites) -> DenseState:
     """Rebuild a qubit state from exact probabilities on the fixed bases.
 
     ``tables`` holds 2N+1 probability vectors of length 2**N in the
@@ -127,16 +125,16 @@ def fixed_basis_reconstruct(
     Magnitudes come from the all-z table; each x/y pair determines
     2 c_v^* c_{v + e_k}, whose phase is propagated breadth-first across the
     hypercube from the largest-magnitude vertex.  Vertices with magnitude
-    below ``floor`` count as exact zeros; if the remaining coefficient graph
-    is disconnected the relative phases between components are undetermined
-    and a PartialReconstructionError lists the components.
+    below RECONSTRUCTION_FLOOR count as exact zeros; if the remaining
+    coefficient graph is disconnected the relative phases between components
+    are undetermined and a PartialReconstructionError lists the components.
     """
     dim = 2**n_sites
     tables = [np.asarray(t, dtype=float) for t in tables]
     if len(tables) != 2 * n_sites + 1 or any(t.shape != (dim,) for t in tables):
         raise ParameterError("expected 2N+1 probability tables of length 2**N")
     mags = np.sqrt(np.maximum(tables[0], 0.0))
-    alive = mags >= floor
+    alive = mags >= RECONSTRUCTION_FLOOR
     if not np.any(alive):
         raise ParameterError("all amplitudes below the reconstruction floor")
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,7 @@ from .estimation import (
 from .measurement import Dataset, measure_batch
 from .mps import MatrixProductState, load_mps, random_init
 from .states import TargetSpec, build_target
-from .training import train_stage, write_loss_history
+from .training import train_stage
 
 # bond dimension of the random starting state
 _INIT_BOND_DIM = 2
@@ -107,13 +107,12 @@ def run_tomography(config: ExperimentConfig):
     return history, model
 
 
-def replicas_to_threshold(history, threshold, field_name="f_true"):
+def replicas_to_threshold(history, threshold):
     """Replica count at the first stage of the earliest pair of consecutive
-    stages with the fidelity signal at or above ``threshold``; None if the
-    signal never stabilized."""
+    stages with the true fidelity at or above ``threshold``; None if it
+    never stabilized."""
     for i in range(len(history) - 1):
-        a = getattr(history[i], field_name)
-        b = getattr(history[i + 1], field_name)
+        a, b = history[i].f_true, history[i + 1].f_true
         if a is not None and b is not None and a >= threshold and b >= threshold:
             return history[i].replicas
     return None
@@ -134,13 +133,23 @@ def _history_header() -> tuple[str, ...]:
     return ("stage", *scalar_fields(StageRecord))
 
 
-def write_history(path, history) -> None:
+def _write_csv(path, header, rows) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(_history_header())
-        for i, rec in enumerate(history):
-            values = (getattr(rec, name) for name in scalar_fields(StageRecord))
-            writer.writerow([i, *map(_fmt, values)])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_history(path, history) -> None:
+    names = scalar_fields(StageRecord)
+    rows = ([i, *(_fmt(getattr(rec, name)) for name in names)] for i, rec in enumerate(history))
+    _write_csv(path, _history_header(), rows)
+
+
+def write_loss_history(path, reports) -> None:
+    """Per-sweep loss breakdown: sweep, lambda, nll, penalty, total."""
+    rows = ([i, *map(_fmt, (r.lam, r.nll, r.penalty, r.total))] for i, r in enumerate(reports))
+    _write_csv(path, ("sweep", "lambda", "nll", "penalty", "total"), rows)
 
 
 def read_history(path) -> list[StageRecord]:
@@ -256,15 +265,11 @@ def run_scaling_suite(kind, grid, config, n_seeds=8, out_path=None) -> SuiteResu
             exponent = float(slope)
     result = SuiteResult(kind, rows, exponent)
     if out_path is not None:
-        with open(out_path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow([kind, "mean_replicas", "std_replicas", "n_converged", "n_failed"])
-            for r in rows:
-                writer.writerow(
-                    [r.value, _fmt(r.mean_replicas), _fmt(r.std_replicas), r.n_converged, r.n_failed]
-                )
-            if exponent is not None:
-                writer.writerow(["exponent", _fmt(exponent), "", "", ""])
+        lines = [list(map(_fmt, astuple(r))) for r in rows]
+        if exponent is not None:
+            lines.append(["exponent", _fmt(exponent), "", "", ""])
+        header = [kind, "mean_replicas", "std_replicas", "n_converged", "n_failed"]
+        _write_csv(out_path, header, lines)
     return result
 
 
@@ -304,7 +309,7 @@ def report(run_dirs, out_dir) -> dict[str, Path]:
         n_sites = meta.get("target.n", "")
         d_max = meta.get("target.d_max", "")
         eps = meta.get("noise_epsilon", "")
-        thr = float(meta.get("fidelity_threshold", "0.995"))
+        thr = float(meta.get("fidelity_threshold", ExperimentConfig.fidelity_threshold))
         source = meta.get("source", "real")
         reached = replicas_to_threshold(history, thr)
         last = history[-1]
@@ -350,28 +355,19 @@ def report(run_dirs, out_dir) -> dict[str, Path]:
             else:
                 fig2.append([kind, n_sites, _fmt(thr), reached])
             fig5.append([kind, n_sites, eps, reached])
-    written = {}
-
-    def emit(name, header, rows):
-        p = out / name
-        with open(p, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(header)
-            writer.writerows(rows)
-        written[name] = p
-
-    emit(
-        "summary.csv",
-        ["run", "source", "kind", "n", "d_max", "epsilon", "threshold",
-         "replicas_to_threshold", "replicas_total", "f_true", "f_per_site", "f_est"],
-        summary_rows,
-    )
-    emit("fig2_size.csv", ["kind", "n", "threshold", "replicas"], fig2)
-    emit("fig3_bond.csv", ["n", "d_max", "replicas"], fig3)
-    emit(
-        "fig4_convergence.csv",
-        ["run", "source", "stage", "replicas", "r_real", "r_succ", "ratio"],
-        fig4,
-    )
-    emit("fig5_noise.csv", ["kind", "n", "epsilon", "replicas"], fig5)
-    return written
+    tables = {
+        "summary.csv": (
+            ["run", "source", "kind", "n", "d_max", "epsilon", "threshold",
+             "replicas_to_threshold", "replicas_total", "f_true", "f_per_site", "f_est"],
+            summary_rows,
+        ),
+        "fig2_size.csv": (["kind", "n", "threshold", "replicas"], fig2),
+        "fig3_bond.csv": (["n", "d_max", "replicas"], fig3),
+        "fig4_convergence.csv": (
+            ["run", "source", "stage", "replicas", "r_real", "r_succ", "ratio"], fig4
+        ),
+        "fig5_noise.csv": (["kind", "n", "epsilon", "replicas"], fig5),
+    }
+    for name, (header, rows) in tables.items():
+        _write_csv(out / name, header, rows)
+    return {name: out / name for name in tables}

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .mps import MatrixProductState
+from .mps import MatrixProductState, _gaussian_chain
 
 _KINDS = ("W", "Cluster", "Dimer", "Random")
 
@@ -133,16 +133,4 @@ def random_target(n_sites, d_max, seed) -> MatrixProductState:
     """
     if n_sites < 2 or d_max < 1:
         raise ParameterError("need n_sites >= 2 and d_max >= 1")
-    q = 2
-    rng = np.random.default_rng(seed)
-    tensors = []
-    for k in range(n_sites):
-        d1 = min(d_max, q**k, q ** (n_sites - k))
-        d2 = min(d_max, q ** (k + 1), q ** (n_sites - k - 1))
-        tensors.append(
-            rng.standard_normal((d1, q, d2)) + 1j * rng.standard_normal((d1, q, d2))
-        )
-    mps = MatrixProductState(tensors, copy=False).canonicalize(0)
-    t0 = mps.tensor(0)
-    t0 /= np.linalg.norm(t0)
-    return mps
+    return _gaussian_chain(n_sites, 2, d_max, seed)

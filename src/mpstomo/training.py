@@ -20,7 +20,6 @@ to one complex matmul each over the dataset.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,9 +51,9 @@ class LossReport:
         return cls(float(nll), float(penalty), float(nll + lam * penalty), float(lam))
 
 
-def _site_rows(dataset, spin):
+def _site_rows(dataset):
     """Per-site (|V|, q) arrays: the rotation row selected by each outcome."""
-    thetas, phis = dataset.thetas, dataset.phis
+    thetas, phis, spin = dataset.thetas, dataset.phis, dataset.spin
     idx = dataset.outcome_indices
     count = thetas.shape[0]
     rows = []
@@ -96,11 +95,14 @@ def _right_envs(tensors, rows, start) -> list:
     return envs
 
 
-def _check_dataset(mps, dataset):
+def _tensors_and_rows(mps, dataset):
+    """The state's site tensors and the dataset's per-site rotation rows,
+    after checking that the dataset is non-empty and matches the state."""
     if len(dataset) == 0:
         raise ParameterError("dataset is empty")
     if dataset.n_sites != mps.n_sites or dataset.local_dim != mps.local_dim:
         raise ParameterError("dataset does not match the state's shape")
+    return [mps.tensor(j) for j in range(mps.n_sites)], _site_rows(dataset)
 
 
 def _clamped_nll(probs) -> float:
@@ -117,9 +119,7 @@ def _chain_nll(tensors, rows) -> float:
 def nll(mps, dataset) -> float:
     """Mean negative log of the squared rotated amplitudes over the dataset,
     with |amp|^2 clamped below at _PROB_FLOOR.  The state must be normalized."""
-    _check_dataset(mps, dataset)
-    tensors = [mps.tensor(j) for j in range(mps.n_sites)]
-    return _chain_nll(tensors, _site_rows(dataset, mps.spin))
+    return _chain_nll(*_tensors_and_rows(mps, dataset))
 
 
 class BondObjective:
@@ -135,13 +135,11 @@ class BondObjective:
     """
 
     def __init__(self, mps, bond, dataset, penalty_weight):
-        _check_dataset(mps, dataset)
         if not 0 <= bond <= mps.n_sites - 2:
             raise ParameterError(f"bond {bond} out of range")
         if mps.canonical_center not in (bond, bond + 1):
             mps = mps.canonicalize(bond)
-        tensors = [mps.tensor(j) for j in range(mps.n_sites)]
-        rows = _site_rows(dataset, mps.spin)
+        tensors, rows = _tensors_and_rows(mps, dataset)
         self._init_from_parts(
             _left_envs(tensors, rows, bond)[bond],
             rows[bond],
@@ -166,8 +164,6 @@ class BondObjective:
         # rank-1 shot environments, flattened for single-matmul evaluation
         self._la = (left[:, :, None] * row_a[:, None, :]).reshape(count, d1 * q)
         self._rb = (row_b[:, :, None] * right[:, None, :]).reshape(count, q * d2)
-        self._la_c = self._la.conj()
-        self._rb_c = self._rb.conj()
         self.clamped_last = 0
 
     def amplitudes(self, merged) -> np.ndarray:
@@ -207,8 +203,8 @@ class BondObjective:
         self.clamped_last = int(self.count - live.sum())
         w = np.zeros(self.count, dtype=np.complex128)
         w[live] = 1.0 / (self.count * amps[live].conj())
-        d1, q, _, d2 = self.shape
-        grad = ((self._la_c * w[:, None]).T @ self._rb_c).reshape(self.shape)
+        # conj(la)^T diag(w) conj(rb), without conjugate copies of la and rb
+        grad = ((self._la * w.conj()[:, None]).T @ self._rb).conj().reshape(self.shape)
         grad -= (live.sum() / self.count / n2) * merged
         lam = self.penalty_weight
         if lam != 0.0:
@@ -243,14 +239,12 @@ class _SweepEngine:
 
     def __init__(self, mps, dataset, config):
         config.validate()
-        _check_dataset(mps, dataset)
         if mps.n_sites < 2:
             raise ParameterError("training needs at least 2 sites")
-        start = mps.canonicalize(0)
-        self.tensors = [start.tensor(k).copy() for k in range(mps.n_sites)]
+        # canonicalize returns fresh arrays, so the engine may own them
+        self.tensors, self.rows = _tensors_and_rows(mps.canonicalize(0), dataset)
         self.n = mps.n_sites
         self.cfg = config
-        self.rows = _site_rows(dataset, mps.spin)
         self.left = _left_envs(self.tensors, self.rows, 0)
         self.right = _right_envs(self.tensors, self.rows, 2)
         self.center = 0
@@ -294,17 +288,6 @@ class _SweepEngine:
 
     def to_mps(self) -> MatrixProductState:
         return MatrixProductState(self.tensors, center=self.center, copy=True)
-
-
-def write_loss_history(path, reports) -> None:
-    """Per-sweep loss breakdown as CSV: sweep, lambda, nll, penalty, total."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["sweep", "lambda", "nll", "penalty", "total"])
-        for i, rep in enumerate(reports):
-            writer.writerow(
-                [i, repr(rep.lam), repr(rep.nll), repr(rep.penalty), repr(rep.total)]
-            )
 
 
 def train_stage(mps, dataset, config) -> tuple[MatrixProductState, list[LossReport]]:

@@ -1,0 +1,198 @@
+"""Mutated input files fail cleanly at every boundary.
+
+Each property mutates one kind of input a run reads: the bytes of a saved
+W4 ``.mps`` state (read by ``virtual --model``), the lines of a
+``history.csv`` (``fit``), the text of a config file (``tomo --config``)
+and the lines of a shot record (``Dataset.from_file``).  The history and
+config files may also get raw byte edits, so they need not stay UTF-8.
+The CLI may only exit 0, 2 or 3, and never exits 0 with a non-finite
+field in a ``history.csv`` it wrote; ``Dataset.from_file`` may only raise
+FormatError or ParameterError.  Examples are derandomized so that the
+suite stays deterministic.
+"""
+
+import csv
+import math
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from mpstomo import Dataset, FormatError, ParameterError, load_config, w_state
+from mpstomo.cli import main
+
+# a W4 protocol small enough for tens of runs in a few seconds
+CONFIG = """\
+target.kind = w
+target.n = 4
+target.theta = 0.1
+fidelity_threshold = 0.9
+batch_initial = 20
+max_replicas = 150
+train.d_cap = 4
+train.sweeps_per_stage = 4
+train.eta_noise = 1.0
+"""
+
+_SETTINGS = settings(
+    max_examples=25,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+
+# field values at the edges of what the parsers accept
+_ODD_VALUES = st.sampled_from(
+    ["", "nan", "inf", "-inf", "1e309", "-1", "0", "-0.0", "1e-320", "2", "3",
+     "99999999999999999999", "0x10", "1_0", "true", " ", "a,b", "1;2", "١"]
+)
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=40)
+
+
+@st.composite
+def _byte_edits(draw, raw):
+    """``raw`` with one to three byte overwrites, cuts or insertions."""
+    data = bytearray(raw)
+    for _ in range(draw(st.integers(1, 3))):
+        pos = draw(st.integers(0, len(data)))
+        kind = draw(st.sampled_from(["set", "cut", "insert"]))
+        if kind == "set" and pos < len(data):
+            data[pos] = draw(st.integers(0, 255))
+        elif kind == "cut":
+            del data[pos : pos + draw(st.integers(1, 16))]
+        else:
+            data[pos:pos] = draw(st.binary(min_size=1, max_size=8))
+    return bytes(data)
+
+
+@st.composite
+def _line_edits(draw, lines, sep):
+    """``lines`` with one to three lines dropped, duplicated, replaced by
+    arbitrary text, or with one ``sep``-separated field set to an odd value."""
+    lines = list(lines)
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["drop", "dup", "text", "field", "field"]))
+        if kind == "drop":
+            del lines[i]
+        elif kind == "dup":
+            lines.insert(i, lines[i])
+        elif kind == "text":
+            lines[i] = draw(_TEXT)
+        else:
+            parts = lines[i].split(sep)
+            j = draw(st.integers(0, len(parts) - 1))
+            parts[j] = draw(_ODD_VALUES)
+            lines[i] = sep.join(parts)
+    return lines
+
+
+def _text_file(data, path, lines):
+    """Write ``lines`` to ``path``, sometimes with raw byte edits on top."""
+    raw = ("\n".join(lines) + "\n").encode()
+    if data.draw(st.booleans()):
+        raw = data.draw(_byte_edits(raw))
+    path.write_bytes(raw)
+
+
+def _assert_finite_history(path):
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))
+    for row in rows[1:]:
+        for raw in row:
+            assert raw == "" or math.isfinite(float(raw)), f"{path}: {row}"
+
+
+@pytest.fixture(scope="module")
+def w4_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("w4")
+    cfg = root / "exp.cfg"
+    cfg.write_text(CONFIG + "stop_on_threshold = false\n")
+    assert main(["tomo", "--config", str(cfg), "--seed", "4", "--out", str(root / "run")]) == 0
+    w_state(4, 0.1).save(root / "w4.mps")
+    return root
+
+
+@_SETTINGS
+@given(data=st.data())
+def test_mutated_model_virtual(w4_run, tmp_path_factory, data):
+    raw = (w4_run / "w4.mps").read_bytes()
+    work = tmp_path_factory.mktemp("mps")
+    model = work / "model.mps"
+    model.write_bytes(data.draw(_byte_edits(raw)))
+    cfg = work / "exp.cfg"
+    cfg.write_text(CONFIG)
+    rc = main([
+        "virtual", "--model", str(model), "--config", str(cfg),
+        "--runs", "1", "--seed", "9", "--out", str(work / "virt"),
+    ])
+    assert rc in (0, 2, 3)
+    if rc == 0:
+        _assert_finite_history(work / "virt" / "virtual_00" / "history.csv")
+
+
+@_SETTINGS
+@given(data=st.data())
+def test_mutated_history_fit(w4_run, tmp_path_factory, data):
+    lines = (w4_run / "run" / "history.csv").read_text().splitlines()
+    path = tmp_path_factory.mktemp("fit") / "history.csv"
+    _text_file(data, path, data.draw(_line_edits(lines, ",")))
+    field = data.draw(st.sampled_from(["r_real", "r_succ"]))
+    assert main(["fit", "--history", str(path), "--field", field]) in (0, 2, 3)
+
+
+def _stage_count(cfg) -> int:
+    """Stages run_tomography would run at most under ``cfg``."""
+    total, batch, stages = 0, cfg.batch_initial, 0
+    while total < cfg.max_replicas and stages < 100:
+        total += min(batch, cfg.max_replicas - total)
+        batch = max(1, int(round(batch * cfg.batch_growth)))
+        if cfg.batch_max > 0:
+            batch = min(batch, cfg.batch_max)
+        stages += 1
+    return stages
+
+
+def _small_enough(path) -> bool:
+    """Whether the config parses to a run no larger than a few seconds; a
+    config that does not parse or decode is always run, since it must exit 2."""
+    try:
+        cfg = load_config(path)
+        spec = cfg.target
+        n = getattr(spec, "n_sites", 0)
+        return (
+            n <= 6 and getattr(spec, "d_max", 1) <= 8 and cfg.train.d_cap <= 8
+            and cfg.train.sweeps_per_stage <= 8 and 0 < cfg.max_replicas <= 400
+            and cfg.batch_initial >= 1 and cfg.batch_growth >= 1.0
+            and _stage_count(cfg) <= 8
+        )
+    except (ParameterError, UnicodeDecodeError):
+        return True
+
+
+@_SETTINGS
+@given(data=st.data())
+def test_mutated_config_tomo(tmp_path_factory, data):
+    work = tmp_path_factory.mktemp("cfg")
+    cfg = work / "exp.cfg"
+    _text_file(data, cfg, data.draw(_line_edits(CONFIG.splitlines(), "=")))
+    assume(_small_enough(cfg))
+    rc = main(["tomo", "--config", str(cfg), "--seed", "4", "--out", str(work / "run")])
+    assert rc in (0, 2, 3)
+    if rc == 0:
+        _assert_finite_history(work / "run" / "history.csv")
+
+
+@_SETTINGS
+@given(data=st.data(), local_dim=st.integers(1, 3))
+def test_mutated_shots_from_file(w4_run, tmp_path_factory, data, local_dim):
+    lines = (w4_run / "run" / "shots.txt").read_text().splitlines()[:12]
+    sep = data.draw(st.sampled_from([";", ","]))
+    path = tmp_path_factory.mktemp("shots") / "shots.txt"
+    path.write_text("\n".join(data.draw(_line_edits(lines, sep))) + "\n")
+    try:
+        Dataset.from_file(path, local_dim)
+    except (FormatError, ParameterError):
+        pass

@@ -1,3 +1,5 @@
+import struct
+
 import pytest
 
 from mpstomo import load_mps, w_state
@@ -68,6 +70,16 @@ class TestTomoCommand:
         cfg = write_cfg(tmp_path / "exp.cfg", BASE_CFG + "nonsense = 1\n")
         rc = main(["tomo", "--config", cfg, "--seed", "4", "--out", str(tmp_path / "r")])
         assert rc == 2
+
+    def test_run_cfg_reruns_the_run(self, tmp_path):
+        # run.cfg echoes the resolved config and loads back, its source line included
+        cfg = write_cfg(tmp_path / "exp.cfg", BASE_CFG)
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main(["tomo", "--config", cfg, "--seed", "4", "--out", str(first)]) == 0
+        echoed = str(first / "run.cfg")
+        assert main(["tomo", "--config", echoed, "--seed", "4", "--out", str(again)]) == 0
+        for name in ("history.csv", "model.mps", "shots.txt", "losses.csv"):
+            assert (again / name).read_bytes() == (first / name).read_bytes(), name
 
     def test_mandatory_seed_and_out(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "exp.cfg", BASE_CFG)
@@ -187,6 +199,26 @@ class TestVirtualCommand:
         ])
         assert rc == 2
         assert "byte 16: bond 1 has dimension 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (b"MPS1" + struct.pack("<III", 2, 0, 1), "byte 8: local dimension 0"),
+            (b"MPS1" + struct.pack("<II", 0, 2), "byte 4: 0 sites"),
+            (b"MPS1" + struct.pack("<III", 2, 1, 1) + bytes(32), "byte 8: local dimension 1"),
+        ],
+        ids=["q0", "n0", "q1"],
+    )
+    def test_bad_dimension_model_exit_code(self, tmp_path, capsys, raw, message):
+        cfg = write_cfg(tmp_path / "exp.cfg", BASE_CFG)
+        model = tmp_path / "bad.mps"
+        model.write_bytes(raw)
+        rc = main([
+            "virtual", "--model", str(model), "--config", cfg,
+            "--runs", "1", "--seed", "9", "--out", str(tmp_path / "virt"),
+        ])
+        assert rc == 2
+        assert message in capsys.readouterr().err
 
     def test_same_seed_identical_runs(self, tmp_path):
         from mpstomo import ExperimentConfig, TargetSpec, TrainConfig, run_virtual

@@ -252,10 +252,6 @@ class TestFixedBases:
             for th, ph in zip(b.thetas, b.phis):
                 assert (th, ph) in {(0.0, 0.0), (np.pi / 2, 0.0), (np.pi / 2, np.pi / 2)}
 
-    def test_qubits_only(self):
-        with pytest.raises(ParameterError):
-            fixed_bases(3, local_dim=3)
-
 
 class TestDataset:
     def test_append_and_roundtrip(self, tmp_path):

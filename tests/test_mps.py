@@ -296,10 +296,11 @@ class TestToDense:
         m = random_mps(4, 2, 3, rng)
         np.testing.assert_allclose(m.to_dense(), dense_from_tensors([m.tensor(k) for k in range(4)]), atol=1e-12)
 
-    def test_size_limit(self, rng):
-        m = random_mps(4, 2, 2, rng)
+    def test_size_limit(self):
+        # 2**21 entries exceed DENSE_LIMIT; the check fires before any contraction
+        m = MatrixProductState([np.ones((1, 2, 1))] * 21)
         with pytest.raises(ResourceError):
-            m.to_dense(limit=8)
+            m.to_dense()
 
 
 class TestSerialization:
@@ -343,9 +344,15 @@ class TestSerialization:
             (lambda raw: raw + bytes(8), "byte 408: trailing bytes"),
             (lambda raw: raw[:16] + struct.pack("<I", 0) + raw[20:],
              "byte 16: bond 1 has dimension 0"),
+            # whole files: N = 2, q = 0 with bond header [1]; N = 0; N = 2, q = 1
+            # with its two one-entry tensors
+            (lambda raw: raw[:4] + struct.pack("<III", 2, 0, 1), "byte 8: local dimension 0"),
+            (lambda raw: raw[:4] + struct.pack("<II", 0, 2), "byte 4: 0 sites"),
+            (lambda raw: raw[:4] + struct.pack("<III", 2, 1, 1) + bytes(32),
+             "byte 8: local dimension 1"),
         ],
         ids=["short-header", "bad-magic", "cut-bond-header", "cut-payload", "oversized-bond",
-             "nan-real", "inf-imag", "trailing", "zero-bond"],
+             "nan-real", "inf-imag", "trailing", "zero-bond", "q0", "n0", "q1"],
     )
     def test_malformed_file_names_byte_offset(self, tmp_path, mutate, message):
         path = tmp_path / "w4.mps"
