@@ -31,7 +31,6 @@ from .estimation import (
 from .measurement import (
     Dataset,
     MeasurementBasis,
-    Shot,
     draw_shots,
     fixed_bases,
     measure_batch,

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .config import ExperimentConfig, build_experiment_config, load_config
 from .errors import ParameterError, ResourceError, TomographyError
-from .estimation import fit_power_law, run_virtual
+from .estimation import fit_power_law, run_virtual, virtual_config
 from .mps import load_mps
 from .runner import (
     read_history,
@@ -84,14 +83,12 @@ def _cmd_suite(args) -> int:
 
 def _cmd_virtual(args) -> int:
     cfg = _config_from_args(args)
-    cfg.output_dir = None
-    cfg.c_estimate = None  # run_virtual runs without it; the run.cfg echoes say so
     trained = load_mps(args.model)
     result = run_virtual(trained, cfg, n_runs=args.runs, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for i, hist in enumerate(result.histories):
-        sub_cfg = replace(cfg, seed=args.seed + i, stop_on_threshold=False, blind=False)
+        sub_cfg = virtual_config(cfg, args.model, args.seed + i)
         write_run_dir(out / f"virtual_{i:02d}", sub_cfg, hist, trained, None, source="virtual")
     (out / "calibration.txt").write_text(
         f"c_mean = {result.mean!r}\nc_std = {result.std!r}\nn_runs = {args.runs}\n"
@@ -184,7 +181,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterError, ResourceError, UnicodeDecodeError) as exc:
+    except (ParameterError, ResourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TomographyError as exc:

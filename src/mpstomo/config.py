@@ -17,7 +17,7 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .errors import FormatError, ParameterError
+from .errors import FormatError, ParameterError, utf8_lines
 from .states import TargetSpec
 
 __all__ = [
@@ -218,7 +218,7 @@ def build_experiment_config(mapping, base=None) -> ExperimentConfig:
 
 
 def load_config(path, base=None) -> ExperimentConfig:
-    text = Path(path).read_text()
+    text = "".join(utf8_lines(path))
     return build_experiment_config(parse_config_text(text, str(path)), base)
 
 

@@ -159,6 +159,21 @@ def tail_ratio(history, tail_fraction=0.5, min_replicas=TAIL_MIN_REPLICAS) -> fl
     return float(np.mean(vals))
 
 
+def virtual_config(protocol, target, seed):
+    """The config of one virtual run: ``protocol`` against the known
+    ``target`` with ``seed``, running every stage, with no ``c_estimate``
+    and no ``output_dir``."""
+    return replace(
+        protocol,
+        target=target,
+        seed=seed,
+        output_dir=None,
+        blind=False,
+        stop_on_threshold=False,
+        c_estimate=None,
+    )
+
+
 def run_virtual(trained, protocol, n_runs=8, seed=0) -> CalibrationResult:
     """Calibrate the convergence constant by virtual tomography.
 
@@ -174,16 +189,7 @@ def run_virtual(trained, protocol, n_runs=8, seed=0) -> CalibrationResult:
     values = []
     histories = []
     for i in range(n_runs):
-        cfg = replace(
-            protocol,
-            target=trained,
-            seed=seed + i,
-            output_dir=None,
-            blind=False,
-            stop_on_threshold=False,
-            c_estimate=None,
-        )
-        history, _ = run_tomography(cfg)
+        history, _ = run_tomography(virtual_config(protocol, trained, seed + i))
         histories.append(history)
         values.append(tail_ratio(history))
     mean = float(np.mean(values))

@@ -2,8 +2,8 @@
 
 A measurement basis is a list of per-site directions (theta, phi); measuring
 in it yields one magnetic number m per site.  Outcomes are stored internally
-as indices p = S - m (p = 0 is m = +S); the public Shot type carries the
-physical m values.
+as indices p = S - m (p = 0 is m = +S); the shot file carries the
+physical values 2m.
 
 Sampling from a matrix product state is autoregressive: with the state
 right-canonicalized, the rotated site tensors stay right-isometric, so the
@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateStateError, FormatError, ParameterError
-from .mps import outcome_indices
+from .errors import DegenerateStateError, FormatError, ParameterError, utf8_lines
 from .rotations import rotation_matrices
 
 _MASS_FLOOR = 1e-14
@@ -54,20 +53,6 @@ class MeasurementBasis:
         return cls(np.zeros(n_sites), np.zeros(n_sites))
 
 
-@dataclass(frozen=True)
-class Shot:
-    """One basis and one outcome string of magnetic numbers m."""
-
-    basis: MeasurementBasis
-    outcomes: np.ndarray
-
-    def __post_init__(self):
-        outcomes = np.asarray(self.outcomes, dtype=float)
-        if outcomes.shape != (self.basis.n_sites,):
-            raise ParameterError("outcome string length must match the basis")
-        object.__setattr__(self, "outcomes", outcomes)
-
-
 class Dataset:
     """Append-only collection of shots, stored as flat (|V|, N) arrays: the
     basis angles ``thetas`` and ``phis`` and the ``outcome_indices`` p = S - m."""
@@ -88,14 +73,6 @@ class Dataset:
     def __len__(self) -> int:
         return self.thetas.shape[0]
 
-    def append(self, shot: Shot) -> None:
-        if shot.basis.n_sites != self.n_sites:
-            raise ParameterError("shot length does not match dataset")
-        idx = outcome_indices(shot.outcomes, self.local_dim)
-        self.extend_raw(
-            shot.basis.thetas[None, :], shot.basis.phis[None, :], idx[None, :]
-        )
-
     def extend_raw(self, thetas, phis, idx) -> None:
         thetas = np.asarray(thetas, dtype=float)
         phis = np.asarray(phis, dtype=float)
@@ -113,12 +90,6 @@ class Dataset:
             raise ParameterError("datasets are incompatible")
         self.extend_raw(other.thetas, other.phis, other.outcome_indices)
 
-    def shot(self, i) -> Shot:
-        return Shot(
-            MeasurementBasis(self.thetas[i], self.phis[i]),
-            self.spin - self.outcome_indices[i].astype(float),
-        )
-
     # one line per shot; per-site fields "theta,phi,2m" joined by semicolons
     def to_file(self, path) -> None:
         thetas, phis = self.thetas, self.phis
@@ -134,26 +105,25 @@ class Dataset:
     @classmethod
     def from_file(cls, path, local_dim) -> "Dataset":
         rows, line_numbers = [], []
-        with open(path) as f:
-            for ln, line in enumerate(f, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                triples = [fld.split(",") for fld in line.split(";")]
-                if any(len(t) != 3 for t in triples):
-                    raise FormatError(f"{path}: line {ln}: every site field must be theta,phi,2m")
-                try:
-                    th = [float(t[0]) for t in triples]
-                    ph = [float(t[1]) for t in triples]
-                    tm = [int(t[2]) for t in triples]
-                except ValueError as exc:
-                    raise FormatError(f"{path}: line {ln}: {exc}") from exc
-                if rows and len(tm) != len(rows[0][2]):
-                    raise FormatError(
-                        f"{path}: line {ln}: {len(tm)} sites, expected {len(rows[0][2])}"
-                    )
-                rows.append((th, ph, tm))
-                line_numbers.append(ln)
+        for ln, line in enumerate(utf8_lines(path), start=1):
+            line = line.strip()
+            if not line:
+                continue
+            triples = [fld.split(",") for fld in line.split(";")]
+            if any(len(t) != 3 for t in triples):
+                raise FormatError(f"{path}: line {ln}: every site field must be theta,phi,2m")
+            try:
+                th = [float(t[0]) for t in triples]
+                ph = [float(t[1]) for t in triples]
+                tm = [int(t[2]) for t in triples]
+            except ValueError as exc:
+                raise FormatError(f"{path}: line {ln}: {exc}") from exc
+            if rows and len(tm) != len(rows[0][2]):
+                raise FormatError(
+                    f"{path}: line {ln}: {len(tm)} sites, expected {len(rows[0][2])}"
+                )
+            rows.append((th, ph, tm))
+            line_numbers.append(ln)
         if not rows:
             raise FormatError(f"{path}: no shots")
         thetas = np.array([r[0] for r in rows])

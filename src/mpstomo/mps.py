@@ -24,7 +24,8 @@ from .errors import (
     ResourceError,
     StateError,
 )
-from .rotations import rotation_matrices
+# unused here, but bench/tracing.py patches rotation_matrices on this module
+from .rotations import rotation_matrices  # noqa: F401
 
 DENSE_LIMIT = 2**20
 _MAGIC = b"MPS1"
@@ -39,17 +40,6 @@ def _robust_svd(mat):
         import scipy.linalg
 
         return scipy.linalg.svd(mat, full_matrices=False, lapack_driver="gesvd")
-
-
-def _basis_angles(basis, n_sites):
-    """The (thetas, phis) arrays of a MeasurementBasis-like object."""
-    thetas = np.asarray(basis.thetas, dtype=float)
-    phis = np.asarray(basis.phis, dtype=float)
-    if thetas.shape != (n_sites,) or phis.shape != (n_sites,):
-        raise ParameterError(
-            f"basis has {thetas.shape} directions, state has {n_sites} sites"
-        )
-    return thetas, phis
 
 
 def _overlap(bras, kets) -> complex:
@@ -155,18 +145,6 @@ class MatrixProductState:
         return MatrixProductState(ts, center=center, copy=False)
 
     # -- evaluation --------------------------------------------------------
-
-    def amplitude(self, basis, outcomes) -> complex:
-        """Amplitude of outcome string ``outcomes`` (magnetic numbers m) after
-        rotating every site into the measurement basis."""
-        thetas, phis = _basis_angles(basis, self.n_sites)
-        idx = outcome_indices(outcomes, self.local_dim)
-        us = rotation_matrices(thetas, phis, self.spin)
-        vec = np.ones(1, dtype=np.complex128)
-        for k, t in enumerate(self._tensors):
-            site = np.einsum("v,ivj->ij", us[k, idx[k], :], t)
-            vec = vec @ site
-        return complex(vec[0])
 
     def to_dense(self) -> np.ndarray:
         """Full state vector of length q**N, site 0 as the most significant digit."""

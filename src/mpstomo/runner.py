@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig, config_to_text, parse_config_text, scalar_fields
-from .errors import EstimateOutOfRegime, FormatError, ParameterError
+from .errors import EstimateOutOfRegime, FormatError, ParameterError, utf8_lines
 from .estimation import (
     StageRecord,
     estimate_fidelity,
@@ -34,16 +34,25 @@ from .training import train_stage
 
 # bond dimension of the random starting state
 _INIT_BOND_DIM = 2
+# largest |norm - 1| of a target; fidelities against it are clamped at 1,
+# so an unnormalized target would read as perfectly reconstructed
+_NORM_TOL = 1e-9
 
 
 def resolve_target(target) -> MatrixProductState:
+    """The state a config's ``target`` names, which must be normalized."""
     if isinstance(target, MatrixProductState):
-        return target
-    if isinstance(target, TargetSpec):
-        return build_target(target)
-    if isinstance(target, (str, Path)):
-        return load_mps(target)
-    raise ParameterError(f"cannot interpret target {target!r}")
+        state = target
+    elif isinstance(target, TargetSpec):
+        state = build_target(target)
+    elif isinstance(target, (str, Path)):
+        state = load_mps(target)
+    else:
+        raise ParameterError(f"cannot interpret target {target!r}")
+    norm = state.norm()
+    if not abs(norm - 1.0) <= _NORM_TOL:
+        raise ParameterError(f"target state has norm {norm!r}, not 1 within {_NORM_TOL:g}")
+    return state
 
 
 def _try_fit(history, field_name):
@@ -157,30 +166,29 @@ def read_history(path) -> list[StageRecord]:
     required = {f.name for f in fields(StageRecord) if f.default is MISSING}
     header = _history_header()
     history = []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        try:
-            first = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: line 1: empty history") from None
-        if tuple(first) != header:
-            raise FormatError(f"{path}: line 1: unexpected header {first}")
-        for ln, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise FormatError(f"{path}: line {ln}: expected {len(header)} fields")
-            values = {}
-            for (name, typ), raw in zip(types.items(), row[1:]):
-                if raw == "":
-                    if name in required:
-                        raise FormatError(f"{path}: line {ln}: {name} is mandatory")
-                    continue
-                try:
-                    values[name] = typ(raw)
-                except ValueError as exc:
-                    raise FormatError(f"{path}: line {ln}: bad field {raw!r}") from exc
-                if typ is float and not math.isfinite(values[name]):
-                    raise FormatError(f"{path}: line {ln}: {name} is not finite ({raw!r})")
-            history.append(StageRecord(**values))
+    reader = csv.reader(utf8_lines(path, newline=""))
+    try:
+        first = next(reader)
+    except StopIteration:
+        raise FormatError(f"{path}: line 1: empty history") from None
+    if tuple(first) != header:
+        raise FormatError(f"{path}: line 1: unexpected header {first}")
+    for ln, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise FormatError(f"{path}: line {ln}: expected {len(header)} fields")
+        values = {}
+        for (name, typ), raw in zip(types.items(), row[1:]):
+            if raw == "":
+                if name in required:
+                    raise FormatError(f"{path}: line {ln}: {name} is mandatory")
+                continue
+            try:
+                values[name] = typ(raw)
+            except ValueError as exc:
+                raise FormatError(f"{path}: line {ln}: bad field {raw!r}") from exc
+            if typ is float and not math.isfinite(values[name]):
+                raise FormatError(f"{path}: line {ln}: {name} is not finite ({raw!r})")
+        history.append(StageRecord(**values))
     return history
 
 
@@ -282,7 +290,7 @@ def _read_run_dir(path):
     meta = {}
     cfg_file = path / "run.cfg"
     if cfg_file.exists():
-        meta = parse_config_text(cfg_file.read_text(), str(cfg_file))
+        meta = parse_config_text("".join(utf8_lines(cfg_file)), str(cfg_file))
     return history, meta
 
 

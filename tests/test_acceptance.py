@@ -38,6 +38,7 @@ from mpstomo.oracle import DenseState
 from mpstomo.rotations import rotation_matrices, wigner_d_matrix
 from mpstomo.training import BondObjective
 
+from conftest import shot_probability
 from test_training import fd_gradient
 
 
@@ -302,7 +303,7 @@ def test_criterion_10_invariant_suite():
     m = random_init(5, 2, 3, seed=8)
     basis = sample_basis(5, rng)
     total = sum(
-        abs(m.amplitude(basis, [0.5 - ((v >> (4 - j)) & 1) for j in range(5)])) ** 2
+        shot_probability(m, basis, [0.5 - ((v >> (4 - j)) & 1) for j in range(5)])
         for v in range(32)
     )
     assert abs(total - 1.0) < 1e-9

@@ -3,12 +3,13 @@
 Each property mutates one kind of input a run reads: the bytes of a saved
 W4 ``.mps`` state (read by ``virtual --model``), the lines of a
 ``history.csv`` (``fit``), the text of a config file (``tomo --config``)
-and the lines of a shot record (``Dataset.from_file``).  The history and
-config files may also get raw byte edits, so they need not stay UTF-8.
-The CLI may only exit 0, 2 or 3, and never exits 0 with a non-finite
-field in a ``history.csv`` it wrote; ``Dataset.from_file`` may only raise
-FormatError or ParameterError.  Examples are derandomized so that the
-suite stays deterministic.
+and the lines of a shot record (``Dataset.from_file``).  The history,
+config and shot files may also get raw byte edits, so they need not stay
+UTF-8.  The CLI may only exit 0, 2 or 3, and never exits 0 with a
+non-finite field in a ``history.csv`` it wrote; ``Dataset.from_file`` may
+only raise FormatError or ParameterError.  Examples are derandomized so
+that the suite stays deterministic.  A file that is not UTF-8 raises
+FormatError in each of the three text readers.
 """
 
 import csv
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 from mpstomo import Dataset, FormatError, ParameterError, load_config, w_state
 from mpstomo.cli import main
+from mpstomo.runner import read_history
 
 # a W4 protocol small enough for tens of runs in a few seconds
 CONFIG = """\
@@ -157,7 +159,7 @@ def _stage_count(cfg) -> int:
 
 def _small_enough(path) -> bool:
     """Whether the config parses to a run no larger than a few seconds; a
-    config that does not parse or decode is always run, since it must exit 2."""
+    config that does not load is always run, since it must exit 2."""
     try:
         cfg = load_config(path)
         spec = cfg.target
@@ -168,7 +170,7 @@ def _small_enough(path) -> bool:
             and cfg.batch_initial >= 1 and cfg.batch_growth >= 1.0
             and _stage_count(cfg) <= 8
         )
-    except (ParameterError, UnicodeDecodeError):
+    except ParameterError:
         return True
 
 
@@ -191,8 +193,26 @@ def test_mutated_shots_from_file(w4_run, tmp_path_factory, data, local_dim):
     lines = (w4_run / "run" / "shots.txt").read_text().splitlines()[:12]
     sep = data.draw(st.sampled_from([";", ","]))
     path = tmp_path_factory.mktemp("shots") / "shots.txt"
-    path.write_text("\n".join(data.draw(_line_edits(lines, sep))) + "\n")
+    _text_file(data, path, data.draw(_line_edits(lines, sep)))
     try:
         Dataset.from_file(path, local_dim)
     except (FormatError, ParameterError):
         pass
+
+
+@pytest.mark.parametrize(
+    "name, read",
+    [
+        ("run/shots.txt", lambda path: Dataset.from_file(path, 2)),
+        ("run/history.csv", read_history),
+        ("exp.cfg", load_config),
+    ],
+    ids=["shots", "history", "config"],
+)
+def test_non_utf8_reader_names_line_and_byte(w4_run, tmp_path, name, read):
+    lines = (w4_run / name).read_bytes().split(b"\n")
+    lines[1] = b"\xff" + lines[1]
+    path = tmp_path / "input"
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(FormatError, match=f"{path}: line 2: byte {len(lines[0]) + 1}: not UTF-8"):
+        read(path)

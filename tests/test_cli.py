@@ -2,13 +2,21 @@ import struct
 
 import pytest
 
-from mpstomo import load_mps, w_state
+from mpstomo import MatrixProductState, load_mps, w_state
 from mpstomo.cli import main
 
 
 def write_cfg(path, text):
     path.write_text(text)
     return str(path)
+
+
+def save_scaled_w4(path):
+    """A finite, well-formed W4 file whose state has norm 1e150."""
+    w = w_state(4, 0.1)
+    tensors = [w.tensor(k) for k in range(4)]
+    tensors[1] = tensors[1] * 1e150
+    MatrixProductState(tensors).save(path)
 
 
 BASE_CFG = """
@@ -80,6 +88,16 @@ class TestTomoCommand:
         assert main(["tomo", "--config", echoed, "--seed", "4", "--out", str(again)]) == 0
         for name in ("history.csv", "model.mps", "shots.txt", "losses.csv"):
             assert (again / name).read_bytes() == (first / name).read_bytes(), name
+
+    def test_unnormalized_target_exit_code(self, tmp_path, capsys):
+        save_scaled_w4(tmp_path / "scaled.mps")
+        cfg = write_cfg(tmp_path / "exp.cfg", BASE_CFG)
+        rc = main([
+            "tomo", "--config", cfg, "--set", f"target.path={tmp_path / 'scaled.mps'}",
+            "--seed", "4", "--out", str(tmp_path / "r"),
+        ])
+        assert rc == 2
+        assert "norm 1e+150" in capsys.readouterr().err
 
     def test_mandatory_seed_and_out(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "exp.cfg", BASE_CFG)
@@ -174,6 +192,34 @@ class TestVirtualCommand:
         assert "c_estimate" not in echoed and "source = virtual" in echoed
         first = (tmp_path / "virt" / "virtual_00" / "history.csv").read_bytes()
         assert (virt / "virtual_00" / "history.csv").read_bytes() == first
+
+    def test_virtual_run_cfg_reruns_the_run(self, tmp_path):
+        # a virtual run's run.cfg names the model it measured, not the config's target
+        cfg = write_cfg(tmp_path / "exp.cfg", BASE_CFG)
+        model = tmp_path / "w4.mps"
+        w_state(4, 0.1).save(model)
+        virt = tmp_path / "virt"
+        rc = main([
+            "virtual", "--model", str(model), "--config", cfg,
+            "--runs", "2", "--seed", "9", "--out", str(virt),
+        ])
+        assert rc == 0
+        for i in range(2):
+            echoed = virt / f"virtual_{i:02d}" / "run.cfg"
+            assert f"target.path = {model}\n" in echoed.read_text()
+            again = tmp_path / f"again_{i}"
+            assert main(["tomo", "--config", str(echoed), "--seed", str(9 + i), "--out", str(again)]) == 0
+            assert (again / "history.csv").read_bytes() == (echoed.parent / "history.csv").read_bytes()
+
+    def test_unnormalized_model_exit_code(self, tmp_path, capsys):
+        save_scaled_w4(tmp_path / "scaled.mps")
+        cfg = write_cfg(tmp_path / "exp.cfg", BASE_CFG)
+        rc = main([
+            "virtual", "--model", str(tmp_path / "scaled.mps"), "--config", cfg,
+            "--runs", "1", "--seed", "9", "--out", str(tmp_path / "virt"),
+        ])
+        assert rc == 2
+        assert "norm 1e+150" in capsys.readouterr().err
 
     def test_truncated_model_exit_code(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "exp.cfg", BASE_CFG)

@@ -10,7 +10,6 @@ from mpstomo import (
     MatrixProductState,
     MeasurementBasis,
     ParameterError,
-    Shot,
     draw_shots,
     fixed_bases,
     random_init,
@@ -21,6 +20,8 @@ from mpstomo import (
 )
 from mpstomo.oracle import DenseState, dense_probabilities
 from mpstomo.rotations import rotation_matrices, spin_operators, wigner_d_matrix
+
+from conftest import one_shot_dataset, shot_probability
 
 
 def outcome_codes(dataset):
@@ -185,13 +186,6 @@ class TestDrawShot:
         np.testing.assert_array_equal(a.thetas, b.thetas)
         np.testing.assert_array_equal(a.phis, b.phis)
 
-    def test_single_shot_wrapper(self):
-        rng = np.random.default_rng(4)
-        shot = draw_shots(w_state(3, 0.0), MeasurementBasis.all_z(3), 1, rng).shot(0)
-        assert isinstance(shot, Shot)
-        assert shot.outcomes.shape == (3,)
-        assert set(np.abs(shot.outcomes)) == {0.5}
-
     def test_degenerate_state_error(self):
         t = np.zeros((1, 2, 1), dtype=complex)
         broken = MatrixProductState([t, t.copy()])
@@ -259,7 +253,7 @@ class TestDataset:
         target = w_state(4, 0.2)
         ds = Dataset(4, 2)
         for _ in range(5):
-            ds.append(draw_shots(target, sample_basis(4, rng), 1, rng).shot(0))
+            ds.extend(draw_shots(target, sample_basis(4, rng), 1, rng))
         assert len(ds) == 5
         path = tmp_path / "shots.txt"
         ds.to_file(path)
@@ -269,9 +263,7 @@ class TestDataset:
         np.testing.assert_allclose(loaded.phis, ds.phis, atol=0)
 
     def test_file_format(self, tmp_path):
-        ds = Dataset(2, 2)
-        basis = MeasurementBasis(np.array([0.5, 1.5]), np.array([0.25, 6.0]))
-        ds.append(Shot(basis, np.array([0.5, -0.5])))
+        ds = one_shot_dataset([0.5, 1.5], [0.25, 6.0], [0.5, -0.5])
         path = tmp_path / "shots.txt"
         ds.to_file(path)
         line = path.read_text().strip()
@@ -286,12 +278,7 @@ class TestDataset:
     def test_rejects_mismatched_shot(self):
         ds = Dataset(3, 2)
         with pytest.raises(ParameterError):
-            ds.append(Shot(MeasurementBasis.all_z(2), np.array([0.5, 0.5])))
-
-    def test_append_rejects_non_half_integer_m(self):
-        ds = Dataset(2, 2)
-        with pytest.raises(ParameterError):
-            ds.append(Shot(MeasurementBasis.all_z(2), np.array([0.3, 0.5])))
+            ds.extend(one_shot_dataset([0.0, 0.0], [0.0, 0.0], [0.5, 0.5]))
         assert len(ds) == 0
 
     @pytest.mark.parametrize(
@@ -323,5 +310,5 @@ class TestDataset:
             total = 0.0
             for v in range(2**5):
                 ms = [0.5 - ((v >> (4 - j)) & 1) for j in range(5)]
-                total += abs(target.amplitude(basis, ms)) ** 2
+                total += shot_probability(target, basis, ms)
             assert abs(total - 1.0) < 1e-9

@@ -16,6 +16,8 @@ from mpstomo import (
     w_state,
 )
 
+from conftest import shot_probability
+
 
 def random_dense(n, rng, floor=0.0):
     while True:
@@ -60,8 +62,8 @@ class TestDenseProbability:
             basis = sample_basis(n, rng)
             for v in rng.integers(0, 2**n, size=6):
                 ms = [0.5 - ((int(v) >> (n - 1 - j)) & 1) for j in range(n)]
-                amp = target.amplitude(basis, ms)
-                assert abs(dense_probability(dense, basis, ms) - abs(amp) ** 2) < 1e-10
+                p_mps = shot_probability(target, basis, ms)
+                assert abs(dense_probability(dense, basis, ms) - p_mps) < 1e-10
 
 
 class TestKlDivergence:

@@ -21,18 +21,12 @@ from mpstomo import (
 from mpstomo.oracle import DenseState, dense_probability
 from mpstomo.training import BondObjective
 
+from conftest import one_shot_dataset
+
 
 def product_state(n):
     up = np.array([1.0, 0.0]).reshape(1, 2, 1)
     return MatrixProductState([up] * n)
-
-
-def single_shot_dataset(n, thetas, phis, ms):
-    ds = Dataset(n, 2)
-    from mpstomo import Shot
-
-    ds.append(Shot(MeasurementBasis(np.asarray(thetas), np.asarray(phis)), np.asarray(ms)))
-    return ds
 
 
 def fd_gradient(obj, merged, h=1e-5):
@@ -54,11 +48,11 @@ def fd_gradient(obj, merged, h=1e-5):
 
 class TestNll:
     def test_certain_outcome(self):
-        ds = single_shot_dataset(1, [0.0], [0.0], [0.5])
+        ds = one_shot_dataset([0.0], [0.0], [0.5])
         assert abs(nll(product_state(1), ds)) < 1e-12
 
     def test_x_basis_half_probability(self):
-        ds = single_shot_dataset(1, [np.pi / 2], [0.0], [0.5])
+        ds = one_shot_dataset([np.pi / 2], [0.0], [0.5])
         assert abs(nll(product_state(1), ds) - np.log(2)) < 1e-12
 
     def test_matches_dense_oracle(self, rng):
@@ -68,8 +62,8 @@ class TestNll:
         dense = DenseState.from_mps(model)
         expect = 0.0
         for i in range(len(ds)):
-            shot = ds.shot(i)
-            expect -= np.log(dense_probability(dense, shot.basis, shot.outcomes))
+            basis = MeasurementBasis(ds.thetas[i], ds.phis[i])
+            expect -= np.log(dense_probability(dense, basis, ds.spin - ds.outcome_indices[i]))
         expect /= len(ds)
         assert abs(nll(model, ds) - expect) < 1e-10
 
