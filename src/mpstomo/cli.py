@@ -89,7 +89,7 @@ def _cmd_virtual(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for i, hist in enumerate(result.histories):
         sub_cfg = virtual_config(cfg, args.model, args.seed + i)
-        write_run_dir(out / f"virtual_{i:02d}", sub_cfg, hist, trained, None, source="virtual")
+        write_run_dir(out / f"virtual_{i:02d}", sub_cfg, hist, source="virtual")
     (out / "calibration.txt").write_text(
         f"c_mean = {result.mean!r}\nc_std = {result.std!r}\nn_runs = {args.runs}\n"
     )

@@ -2,14 +2,16 @@
 
 Config files are plain text, one ``key = value`` per line, with dotted
 prefixes for nested sections (``train.lambda0 = 0.01``, ``target.kind = w``).
-Blank lines and ``#`` comments are ignored.  Unknown keys are an error,
-except ``source``: the run annotation a run directory's ``run.cfg`` ends
-with, so that file loads back as a config.
+Blank lines and comments are ignored; a comment starts at a ``#`` that
+begins a line or follows whitespace, so a value (a path) may hold a ``#``.
+Unknown keys are an error, except ``source``: the run annotation a run
+directory's ``run.cfg`` ends with, so that file loads back as a config.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, fields, replace
 from functools import cache
 from pathlib import Path
@@ -26,6 +28,7 @@ __all__ = [
     "build_experiment_config",
     "config_to_text",
     "load_config",
+    "nonfinite_field",
     "parse_config_text",
     "scalar_fields",
 ]
@@ -45,11 +48,20 @@ def scalar_fields(cls) -> dict[str, type]:
     return out
 
 
-def _require_finite(cfg) -> None:
-    for name, typ in scalar_fields(type(cfg)).items():
-        value = getattr(cfg, name)
+def nonfinite_field(obj) -> tuple[str, float] | None:
+    """The first float field of a dataclass instance that holds a value
+    that is not finite, as (name, value); None if there is none."""
+    for name, typ in scalar_fields(type(obj)).items():
+        value = getattr(obj, name)
         if typ is float and value is not None and not math.isfinite(value):
-            raise ParameterError(f"{name} must be finite, got {value!r}")
+            return name, value
+    return None
+
+
+def _require_finite(cfg) -> None:
+    bad = nonfinite_field(cfg)
+    if bad is not None:
+        raise ParameterError(f"{bad[0]} must be finite, got {bad[1]!r}")
 
 
 # upper bound of the noise-scaled truncation threshold (see TrainConfig)
@@ -159,11 +171,14 @@ def _coerce(raw, typ, key):
         raise ParameterError(f"config key {key!r}: cannot parse {raw!r}") from exc
 
 
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def parse_config_text(text, path="<config>") -> dict[str, str]:
     """Flat key -> raw string mapping from config text."""
     out = {}
     for ln, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
+        stripped = _COMMENT.split(line, maxsplit=1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
@@ -222,8 +237,8 @@ def load_config(path, base=None) -> ExperimentConfig:
     return build_experiment_config(parse_config_text(text, str(path)), base)
 
 
-def _section_lines(prefix, obj) -> list[str]:
-    lines = []
+def _section_pairs(prefix, obj) -> list[tuple[str, str]]:
+    pairs = []
     for key, (name, typ) in _keys(type(obj)).items():
         value = getattr(obj, name)
         if value is None:
@@ -232,17 +247,32 @@ def _section_lines(prefix, obj) -> list[str]:
             value = "true" if value else "false"
         elif typ is float:
             value = repr(float(value))
-        lines.append(f"{prefix}{key} = {value}")
-    return lines
+        pairs.append((f"{prefix}{key}", str(value)))
+    return pairs
 
 
 def config_to_text(cfg) -> str:
-    """Serialize a config back to the flat format (target paths as-is)."""
-    lines = []
+    """Serialize a config back to the flat format (target paths as-is).
+
+    A value that would not read back as itself, such as a path holding a
+    line break, edge whitespace or a ``#`` after whitespace, raises
+    ParameterError.
+    """
+    pairs = []
     if isinstance(cfg.target, TargetSpec):
-        lines += _section_lines("target.", cfg.target)
+        pairs += _section_pairs("target.", cfg.target)
     elif isinstance(cfg.target, (str, Path)):
-        lines.append(f"target.path = {cfg.target}")
-    lines += _section_lines("", cfg)
-    lines += _section_lines("train.", cfg.train)
+        pairs.append(("target.path", str(cfg.target)))
+    pairs += _section_pairs("", cfg)
+    pairs += _section_pairs("train.", cfg.train)
+    lines = [f"{key} = {value}" for key, value in pairs]
+    for (key, value), line in zip(pairs, lines):
+        try:
+            back = parse_config_text(line)
+        except FormatError:
+            back = None
+        if back != {key: value}:
+            raise ParameterError(
+                f"config key {key!r}: {value!r} cannot be written to a config file"
+            )
     return "\n".join(lines) + "\n"

@@ -174,24 +174,33 @@ def virtual_config(protocol, target, seed):
     )
 
 
+def _virtual_run(config):
+    """One virtual run: its history and tail ratio."""
+    from .runner import run_tomography  # deferred: runner depends on this module
+
+    history, _ = run_tomography(config)
+    return history, tail_ratio(history)
+
+
 def run_virtual(trained, protocol, n_runs=8, seed=0) -> CalibrationResult:
     """Calibrate the convergence constant by virtual tomography.
 
     Runs ``n_runs`` independent full tomography simulations that use
     ``trained`` as a known target under the same protocol, then returns the
     mean and sample standard deviation of each run's tail ratio
-    r_real^2 / r_succ.
+    r_real^2 / r_succ.  The runs are spread over the CPUs this process may
+    use (see ``mpstomo.parallel``); the result is that of running them one
+    after another.
     """
-    from .runner import run_tomography  # deferred: runner depends on this module
+    from .parallel import map_runs
 
     if n_runs < 1:
         raise ParameterError("need at least one virtual run")
-    values = []
-    histories = []
-    for i in range(n_runs):
-        history, _ = run_tomography(virtual_config(protocol, trained, seed + i))
-        histories.append(history)
-        values.append(tail_ratio(history))
+    runs = map_runs(
+        _virtual_run, [virtual_config(protocol, trained, seed + i) for i in range(n_runs)]
+    )
+    histories = [history for history, _ in runs]
+    values = [value for _, value in runs]
     mean = float(np.mean(values))
     std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
     return CalibrationResult(mean=mean, std=std, values=values, histories=histories)

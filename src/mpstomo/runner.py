@@ -18,8 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, config_to_text, parse_config_text, scalar_fields
-from .errors import EstimateOutOfRegime, FormatError, ParameterError, utf8_lines
+from .config import ExperimentConfig, config_to_text, nonfinite_field, parse_config_text
+from .config import scalar_fields
+from .errors import DegenerateStateError, EstimateOutOfRegime, FormatError, ParameterError
+from .errors import utf8_lines
 from .estimation import (
     StageRecord,
     estimate_fidelity,
@@ -68,7 +70,9 @@ def run_tomography(config: ExperimentConfig):
     Stages draw geometrically growing batches of noisy random-basis shots,
     retrain on the accumulated dataset, and record a StageRecord.  The run
     stops when the fidelity signal stays at or above the threshold for two
-    consecutive stages (if enabled) or when max_replicas is exhausted.
+    consecutive stages (if enabled) or when max_replicas is exhausted.  A
+    stage record with a value that is not finite raises DegenerateStateError
+    before any artifact is written.
     """
     config.validate()
     if config.max_replicas < 1:
@@ -97,6 +101,13 @@ def run_tomography(config: ExperimentConfig):
                 _, rec.f_est = estimate_fidelity(config.c_estimate, rec.r_succ)
             except EstimateOutOfRegime:
                 rec.f_est = None
+        # checked before the fits, which take logs of these values; the fits
+        # of finite stages are finite
+        bad = nonfinite_field(rec)
+        if bad is not None:
+            raise DegenerateStateError(
+                f"stage {len(history)}: {bad[0]} is not finite ({bad[1]!r})"
+            )
         history.append(rec)
         rec.alpha_real = _try_fit(history, "r_real")
         rec.alpha_succ = _try_fit(history, "r_succ")
@@ -193,17 +204,21 @@ def read_history(path) -> list[StageRecord]:
 
 
 def write_run_dir(
-    out_dir, config, history, model, dataset=None, loss_reports=None, source="real"
+    out_dir, config, history, model=None, dataset=None, loss_reports=None, source="real"
 ) -> None:
+    """Write a run's artifacts; ``model``, ``dataset`` and ``loss_reports``
+    are each left out when None."""
+    run_cfg = config_to_text(config) + f"source = {source}\n"  # may raise: before any file
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_history(out / "history.csv", history)
-    model.save(out / "model.mps")
+    if model is not None:
+        model.save(out / "model.mps")
     if dataset is not None:
         dataset.to_file(out / "shots.txt")
     if loss_reports is not None:
         write_loss_history(out / "losses.csv", loss_reports)
-    (out / "run.cfg").write_text(config_to_text(config) + f"source = {source}\n")
+    (out / "run.cfg").write_text(run_cfg)
 
 
 # -- scaling suites ---------------------------------------------------------------
@@ -239,27 +254,37 @@ def _suite_config(config, kind, value, seed):
     )
 
 
+def _suite_run(config):
+    """One suite run: the replica count where its true fidelity stabilized."""
+    history, _ = run_tomography(config)
+    return replicas_to_threshold(history, config.fidelity_threshold)
+
+
 def run_scaling_suite(kind, grid, config, n_seeds=8, out_path=None) -> SuiteResult:
     """Replica demand versus system size or target bond dimension.
 
     For each grid value, runs ``n_seeds`` tomographies to the configured
     fidelity threshold and records the replica count where the true fidelity
     stabilized.  The bond suite also fits replicas = gamma * d_max**beta.
+    The runs are spread over the CPUs this process may use (see
+    ``mpstomo.parallel``); the result is that of running them one after
+    another.
     """
+    from .parallel import map_runs
+
     if not grid:
         raise ParameterError("empty suite grid")
+    configs = [
+        _suite_config(config, kind, value, config.seed + 997 * gi + s)
+        for gi, value in enumerate(grid)
+        for s in range(n_seeds)
+    ]
+    demand = map_runs(_suite_run, configs)
     rows = []
     for gi, value in enumerate(grid):
-        reached = []
-        failed = 0
-        for s in range(n_seeds):
-            cfg = _suite_config(config, kind, value, config.seed + 997 * gi + s)
-            history, _ = run_tomography(cfg)
-            v = replicas_to_threshold(history, cfg.fidelity_threshold)
-            if v is None:
-                failed += 1
-            else:
-                reached.append(v)
+        runs = demand[gi * n_seeds : (gi + 1) * n_seeds]
+        reached = [v for v in runs if v is not None]
+        failed = len(runs) - len(reached)
         mean = float(np.mean(reached)) if reached else math.nan
         std = float(np.std(reached)) if reached else math.nan
         rows.append(SuiteRow(value, mean, std, len(reached), failed))

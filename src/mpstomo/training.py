@@ -107,7 +107,7 @@ def _tensors_and_rows(mps, dataset):
 
 def _clamped_nll(probs) -> float:
     """Mean negative log of the probabilities, clamped below at _PROB_FLOOR."""
-    return -float(np.mean(np.log(np.maximum(probs, _PROB_FLOOR))))
+    return -float(np.log(np.maximum(probs, _PROB_FLOOR)).sum() / probs.size)
 
 
 def _chain_nll(tensors, rows) -> float:
@@ -165,6 +165,7 @@ class BondObjective:
         self._la = (left[:, :, None] * row_a[:, None, :]).reshape(count, d1 * q)
         self._rb = (row_b[:, :, None] * right[:, None, :]).reshape(count, q * d2)
         self.clamped_last = 0
+        self._last = None  # (merged, *point) of the last loss evaluation
 
     def amplitudes(self, merged) -> np.ndarray:
         d1, q, _, d2 = self.shape
@@ -184,31 +185,44 @@ class BondObjective:
         g = theta @ theta.conj().T
         return float(np.vdot(g, g).real), theta, g
 
-    def loss(self, merged, amps=None) -> float:
-        n2 = self._norm_sq(merged)
-        if amps is None:
-            amps = self.amplitudes(merged)
-        value = _clamped_nll(np.abs(amps) ** 2 / n2)
-        if self.penalty_weight != 0.0:
-            t2, _, _ = self._purity(merged)
-            value += self.penalty_weight * (2.0 * np.log(n2) - np.log(t2))
-        return value
-
-    def gradient(self, merged, amps=None) -> np.ndarray:
+    def _point(self, merged, amps):
+        """(amps, |M|^2, normalized probabilities, purity terms or None) at
+        ``merged``.  ``loss`` stores what it computes, and ``gradient`` at
+        the same ``merged`` and ``amps`` objects reuses it, so a step that
+        evaluates the loss of its trial point and then the gradient there
+        computes each once."""
+        last = self._last
+        if amps is not None and last is not None and last[0] is merged and last[1] is amps:
+            return last[1:]
         n2 = self._norm_sq(merged)
         if amps is None:
             amps = self.amplitudes(merged)
         probs = np.abs(amps) ** 2 / n2
+        purity = self._purity(merged) if self.penalty_weight != 0.0 else None
+        return amps, n2, probs, purity
+
+    def loss(self, merged, amps=None) -> float:
+        amps, n2, probs, purity = point = self._point(merged, amps)
+        self._last = (merged, *point)
+        value = _clamped_nll(probs)
+        if purity is not None:
+            value += self.penalty_weight * (2.0 * np.log(n2) - np.log(purity[0]))
+        return value
+
+    def gradient(self, merged, amps=None) -> np.ndarray:
+        amps, n2, probs, purity = self._point(merged, amps)
         live = probs >= _PROB_FLOOR
-        self.clamped_last = int(self.count - live.sum())
-        w = np.zeros(self.count, dtype=np.complex128)
-        w[live] = 1.0 / (self.count * amps[live].conj())
+        n_live = int(live.sum())
+        self.clamped_last = self.count - n_live
+        w = np.divide(
+            1.0, self.count * amps.conj(), out=np.zeros(self.count, np.complex128), where=live
+        )
         # conj(la)^T diag(w) conj(rb), without conjugate copies of la and rb
         grad = ((self._la * w.conj()[:, None]).T @ self._rb).conj().reshape(self.shape)
-        grad -= (live.sum() / self.count / n2) * merged
-        lam = self.penalty_weight
-        if lam != 0.0:
-            t2, theta, g = self._purity(merged)
+        grad -= (n_live / self.count / n2) * merged
+        if purity is not None:
+            lam = self.penalty_weight
+            t2, theta, g = purity
             tau = 2.0 * (g @ theta)
             grad += lam * tau.reshape(self.shape) / t2
             grad -= (2.0 * lam / n2) * merged

@@ -47,6 +47,17 @@ class TestTargetCommand:
 
 
 class TestTomoCommand:
+    def test_nonfinite_stage_exit_code(self, tmp_path, monkeypatch, capsys):
+        import mpstomo.runner
+
+        monkeypatch.setattr(mpstomo.runner, "r_succ", lambda prev, curr: float("nan"))
+        cfg = write_cfg(tmp_path / "exp.cfg", BASE_CFG)
+        out = tmp_path / "run"
+        rc = main(["tomo", "--config", cfg, "--seed", "4", "--out", str(out)])
+        assert rc == 3
+        assert "stage 1: r_succ is not finite (nan)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_writes_artifacts(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "exp.cfg", BASE_CFG)
         out = tmp_path / "run"
@@ -194,9 +205,11 @@ class TestVirtualCommand:
         assert (virt / "virtual_00" / "history.csv").read_bytes() == first
 
     def test_virtual_run_cfg_reruns_the_run(self, tmp_path):
-        # a virtual run's run.cfg names the model it measured, not the config's target
+        # a virtual run's run.cfg names the model it measured, not the config's
+        # target, and holds no copy of it; a '#' inside the path is no comment
         cfg = write_cfg(tmp_path / "exp.cfg", BASE_CFG)
-        model = tmp_path / "w4.mps"
+        model = tmp_path / "a#b" / "w4.mps"
+        model.parent.mkdir()
         w_state(4, 0.1).save(model)
         virt = tmp_path / "virt"
         rc = main([
@@ -207,9 +220,25 @@ class TestVirtualCommand:
         for i in range(2):
             echoed = virt / f"virtual_{i:02d}" / "run.cfg"
             assert f"target.path = {model}\n" in echoed.read_text()
+            assert sorted(p.name for p in echoed.parent.iterdir()) == ["history.csv", "run.cfg"]
             again = tmp_path / f"again_{i}"
             assert main(["tomo", "--config", str(echoed), "--seed", str(9 + i), "--out", str(again)]) == 0
             assert (again / "history.csv").read_bytes() == (echoed.parent / "history.csv").read_bytes()
+
+    def test_unwritable_model_path_exit_code(self, tmp_path, capsys):
+        # ' #' starts a comment, so run.cfg could not name this model
+        cfg = write_cfg(tmp_path / "exp.cfg", BASE_CFG)
+        model = tmp_path / "a #b" / "w4.mps"
+        model.parent.mkdir()
+        w_state(4, 0.1).save(model)
+        virt = tmp_path / "virt"
+        rc = main([
+            "virtual", "--model", str(model), "--config", cfg,
+            "--runs", "1", "--seed", "9", "--out", str(virt),
+        ])
+        assert rc == 2
+        assert "cannot be written to a config file" in capsys.readouterr().err
+        assert not (virt / "virtual_00").exists()
 
     def test_unnormalized_model_exit_code(self, tmp_path, capsys):
         save_scaled_w4(tmp_path / "scaled.mps")

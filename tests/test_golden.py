@@ -12,11 +12,16 @@ them:
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 
+import mpstomo
 from mpstomo import ExperimentConfig, TargetSpec, TrainConfig, run_tomography
 from mpstomo.cli import main
 
@@ -109,6 +114,23 @@ def virtual_hashes(work_dir) -> dict[str, str]:
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_artifacts_match_golden_hashes(name, tmp_path):
     assert artifact_hashes(name, tmp_path) == GOLDEN[name]
+
+
+def test_w6_hashes_hold_with_one_blas_thread(tmp_path):
+    # parallel runs rely on this: a worker process has one BLAS thread, its
+    # caller as many as it inherited, and both must give the same bytes
+    env = dict(
+        os.environ,
+        OPENBLAS_NUM_THREADS="1",
+        OMP_NUM_THREADS="1",
+        PYTHONPATH=os.pathsep.join([str(Path(mpstomo.__file__).parents[1]), str(Path(__file__).parent)]),
+    )
+    code = "import json, sys, test_golden; print(json.dumps(test_golden.artifact_hashes('w6', sys.argv[1])))"
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    assert json.loads(done.stdout.splitlines()[-1]) == GOLDEN["w6"]
 
 
 def test_virtual_artifacts_match_golden_hashes(tmp_path):

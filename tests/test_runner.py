@@ -113,6 +113,15 @@ class TestConfigFormat:
         text = config_to_text(cfg)
         assert build_experiment_config(parse_config_text(text)) == cfg
 
+    @given(st.text())
+    def test_target_path_reads_back_or_is_refused(self, path):
+        cfg = small_config(target=path)
+        try:
+            text = config_to_text(cfg)
+        except ParameterError:
+            return
+        assert build_experiment_config(parse_config_text(text)) == cfg
+
     def test_target_path_conflict(self):
         with pytest.raises(ParameterError):
             build_experiment_config({"target.path": "x.mps", "target.kind": "w", "target.n": "4"})
