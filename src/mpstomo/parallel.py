@@ -128,13 +128,12 @@ def map_runs(fn, args) -> list:
     only: a module-level function of mpstomo, say.  If calls raise, every
     call handed out finishes, no further one starts, and the exception of
     the first failed call in argument order is raised, as a serial loop
-    would.  Workers are reaped on every path, an interrupt included; with
-    one CPU none is started.
+    would.  Workers are reaped on every path the caller survives, an
+    interrupt included; a worker whose caller is killed outright finishes
+    the run it holds and then exits.  With one CPU none is started.
     """
     args = list(args)
     n_workers = min(len(args), _cpu_count()) - 1
-    if n_workers < 1:
-        return [fn(a) for a in args]
     schedule = _Schedule(fn, args)
     workers, threads = [], []
     try:

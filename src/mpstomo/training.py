@@ -132,6 +132,11 @@ class BondObjective:
     respect to the conjugated tensor.  Shots whose normalized probability
     falls below _PROB_FLOOR contribute the clamped constant to the loss and
     nothing to the gradient; ``clamped_last`` tallies them per evaluation.
+
+    ``gradient(merged, amps)`` called next after ``loss(merged, amps)``, with
+    the same array objects, reuses the norm, probabilities and purity that
+    ``loss`` computed, once; a caller that changes those arrays in place
+    between the two calls must pass ``amps=None`` to ``gradient``.
     """
 
     def __init__(self, mps, bond, dataset, penalty_weight):
@@ -165,7 +170,7 @@ class BondObjective:
         self._la = (left[:, :, None] * row_a[:, None, :]).reshape(count, d1 * q)
         self._rb = (row_b[:, :, None] * right[:, None, :]).reshape(count, q * d2)
         self.clamped_last = 0
-        self._last = None  # (merged, *point) of the last loss evaluation
+        self._last = None  # (merged, *point) of the last loss, until gradient uses it
 
     def amplitudes(self, merged) -> np.ndarray:
         d1, q, _, d2 = self.shape
@@ -187,13 +192,7 @@ class BondObjective:
 
     def _point(self, merged, amps):
         """(amps, |M|^2, normalized probabilities, purity terms or None) at
-        ``merged``.  ``loss`` stores what it computes, and ``gradient`` at
-        the same ``merged`` and ``amps`` objects reuses it, so a step that
-        evaluates the loss of its trial point and then the gradient there
-        computes each once."""
-        last = self._last
-        if amps is not None and last is not None and last[0] is merged and last[1] is amps:
-            return last[1:]
+        ``merged``."""
         n2 = self._norm_sq(merged)
         if amps is None:
             amps = self.amplitudes(merged)
@@ -210,7 +209,11 @@ class BondObjective:
         return value
 
     def gradient(self, merged, amps=None) -> np.ndarray:
-        amps, n2, probs, purity = self._point(merged, amps)
+        last, self._last = self._last, None
+        if amps is not None and last is not None and last[0] is merged and last[1] is amps:
+            amps, n2, probs, purity = last[1:]
+        else:
+            amps, n2, probs, purity = self._point(merged, amps)
         live = probs >= _PROB_FLOOR
         n_live = int(live.sum())
         self.clamped_last = self.count - n_live

@@ -127,6 +127,23 @@ class TestTwoSiteGradient:
         rel /= np.linalg.norm(obj.gradient(merged))
         assert rel < 1e-5
 
+    def test_gradient_after_loss_matches_a_fresh_gradient(self, rng):
+        target = random_target(4, 2, seed=5)
+        ds = measure_batch(target, 60, 0.0, rng)
+        model = random_init(4, 2, 3, seed=2).canonicalize(1)
+        obj = BondObjective(model, 1, ds, 0.1)
+        merged = model.merge_adjacent(1)
+        amps = obj.amplitudes(merged)
+        obj.loss(merged, amps)
+        assert np.array_equal(obj.gradient(merged, amps), obj.gradient(merged))
+        # the point loss computed is reused once: arrays changed in place
+        # after that gradient are evaluated afresh
+        obj.loss(merged, amps)
+        obj.gradient(merged, amps)
+        merged *= 1.5
+        amps[:] = obj.amplitudes(merged)
+        assert np.array_equal(obj.gradient(merged, amps), obj.gradient(merged.copy()))
+
 
 class TestSweep:
     def test_product_target_converges(self, rng):
