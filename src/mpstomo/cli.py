@@ -65,16 +65,21 @@ def _cmd_tomo(args) -> int:
 def _cmd_suite(args) -> int:
     cfg = _config_from_args(args)
     cfg.output_dir = None
-    grid = [int(g) for g in args.grid.split(",") if g]
+    try:
+        grid = [int(g) for g in args.grid.split(",") if g]
+    except ValueError:
+        raise ParameterError(f"--grid expects comma-separated integers: {args.grid!r}") from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     result = run_scaling_suite(
         args.kind, grid, cfg, n_seeds=args.seeds, out_path=out / f"suite_{args.kind}.csv"
     )
     for row in result.rows:
+        stats = (row.mean_replicas, row.std_replicas)
+        mean, std = ("" if v is None else f"{v:.1f}" for v in stats)
         print(
-            f"{args.kind}={row.value} mean|V|={row.mean_replicas:.1f} "
-            f"std={row.std_replicas:.1f} ok={row.n_converged} failed={row.n_failed}"
+            f"{args.kind}={row.value} mean|V|={mean} std={std} "
+            f"ok={row.n_converged} failed={row.n_failed}"
         )
     if result.exponent is not None:
         print(f"fitted exponent = {result.exponent:.3f}")

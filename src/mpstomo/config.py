@@ -145,8 +145,8 @@ class ExperimentConfig:
         _require_finite(self)
         if not 0.0 < self.fidelity_threshold < 1.0:
             raise ParameterError("fidelity_threshold must lie in (0, 1)")
-        if self.batch_initial < 1 or self.batch_growth < 1.0:
-            raise ParameterError("need batch_initial >= 1 and batch_growth >= 1")
+        if self.batch_initial < 1 or self.batch_growth < 1.0 or self.batch_max < 0:
+            raise ParameterError("need batch_initial >= 1, batch_growth >= 1 and batch_max >= 0")
         if not 0.0 <= self.noise_epsilon <= 1.0:
             raise ParameterError("noise_epsilon must lie in [0, 1]")
         if self.c_estimate is not None and self.c_estimate <= 0:
@@ -199,7 +199,9 @@ def _keys(cls) -> dict[str, tuple[str, type]]:
 
 
 def build_experiment_config(mapping, base=None) -> ExperimentConfig:
-    """Apply a flat key mapping on top of ``base`` (or defaults)."""
+    """Apply a flat key mapping on top of ``base`` (or defaults).  Target
+    fields update the TargetSpec that ``base`` holds; over any other target
+    they must name at least target.kind and target.n."""
     cfg = replace(base) if base is not None else ExperimentConfig()
     cfg.train = replace(cfg.train)
     target_kv = {}
@@ -225,6 +227,8 @@ def build_experiment_config(mapping, base=None) -> ExperimentConfig:
         if target_kv:
             raise ParameterError("give either target.path or target.* fields, not both")
         cfg.target = target_path
+    elif isinstance(cfg.target, TargetSpec) and target_kv:
+        cfg.target = replace(cfg.target, **target_kv)
     elif target_kv:
         if "kind" not in target_kv or "n_sites" not in target_kv:
             raise ParameterError("target needs at least target.kind and target.n")

@@ -67,18 +67,13 @@ class MatrixProductState:
 
     __slots__ = ("_tensors", "_center")
 
-    def __init__(self, tensors, center=None, copy=True):
+    def __init__(self, tensors, center=None):
         if len(tensors) < 1:
             raise ParameterError("need at least one site tensor")
-        ts = []
-        for t in tensors:
-            if copy:
-                a = np.array(t, dtype=np.complex128, order="C")
-            else:
-                a = np.ascontiguousarray(t, dtype=np.complex128)
-            if a.ndim != 3:
-                raise ParameterError("site tensors must have 3 indices")
-            ts.append(a)
+        # the state owns copies of its tensors
+        ts = [np.array(t, dtype=np.complex128, order="C") for t in tensors]
+        if any(a.ndim != 3 for a in ts):
+            raise ParameterError("site tensors must have 3 indices")
         if ts[0].shape[0] != 1 or ts[-1].shape[2] != 1:
             raise ParameterError("boundary bonds must have dimension 1")
         q = ts[0].shape[1]
@@ -131,7 +126,7 @@ class MatrixProductState:
         n = self.n_sites
         if not 0 <= center < n:
             raise ParameterError(f"center {center} out of range for {n} sites")
-        ts = [t.copy() for t in self._tensors]
+        ts = list(self._tensors)
         for k in range(center):
             d1, q, d2 = ts[k].shape
             qmat, r = np.linalg.qr(ts[k].reshape(d1 * q, d2))
@@ -142,7 +137,7 @@ class MatrixProductState:
             qmat, r = np.linalg.qr(ts[k].reshape(d1, q * d2).conj().T)
             ts[k] = qmat.conj().T.reshape(-1, q, d2)
             ts[k - 1] = np.einsum("ivj,jk->ivk", ts[k - 1], r.conj().T)
-        return MatrixProductState(ts, center=center, copy=False)
+        return MatrixProductState(ts, center=center)
 
     # -- evaluation --------------------------------------------------------
 
@@ -270,7 +265,7 @@ def _gaussian_chain(n_sites, local_dim, bond_dim, seed, scale=1.0, offset=0.0):
         t = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         t[0, 0, 0] += offset
         tensors.append(t)
-    mps = MatrixProductState(tensors, copy=False).canonicalize(0)
+    mps = MatrixProductState(tensors).canonicalize(0)
     nrm = np.linalg.norm(mps._tensors[0])
     if nrm == 0:
         raise DegenerateStateError("random initialization collapsed to zero")

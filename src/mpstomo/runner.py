@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, config_to_text, nonfinite_field, parse_config_text
-from .config import scalar_fields
+from .config import ExperimentConfig, build_experiment_config, config_to_text, nonfinite_field
+from .config import parse_config_text, scalar_fields
 from .errors import DegenerateStateError, EstimateOutOfRegime, FormatError, ParameterError
 from .errors import utf8_lines
 from .estimation import (
@@ -226,9 +226,12 @@ def write_run_dir(
 
 @dataclass
 class SuiteRow:
+    """Replica demand at one grid value; mean and std are None when no
+    seed reached the threshold."""
+
     value: int
-    mean_replicas: float
-    std_replicas: float
+    mean_replicas: float | None
+    std_replicas: float | None
     n_converged: int
     n_failed: int
 
@@ -274,6 +277,8 @@ def run_scaling_suite(kind, grid, config, n_seeds=8, out_path=None) -> SuiteResu
 
     if not grid:
         raise ParameterError("empty suite grid")
+    if n_seeds < 1:
+        raise ParameterError(f"need at least one seed per grid value, got {n_seeds}")
     configs = [
         _suite_config(config, kind, value, config.seed + 997 * gi + s)
         for gi, value in enumerate(grid)
@@ -285,8 +290,8 @@ def run_scaling_suite(kind, grid, config, n_seeds=8, out_path=None) -> SuiteResu
         runs = demand[gi * n_seeds : (gi + 1) * n_seeds]
         reached = [v for v in runs if v is not None]
         failed = len(runs) - len(reached)
-        mean = float(np.mean(reached)) if reached else math.nan
-        std = float(np.std(reached)) if reached else math.nan
+        mean = float(np.mean(reached)) if reached else None
+        std = float(np.std(reached)) if reached else None
         rows.append(SuiteRow(value, mean, std, len(reached), failed))
     exponent = None
     if kind == "bond":
@@ -310,13 +315,19 @@ def run_scaling_suite(kind, grid, config, n_seeds=8, out_path=None) -> SuiteResu
 
 
 def _read_run_dir(path):
+    """(history, config, source) of a run directory; config is None when
+    it has no ``run.cfg``, whose bad keys and values raise ParameterError."""
     path = Path(path)
     history = read_history(path / "history.csv")
-    meta = {}
     cfg_file = path / "run.cfg"
-    if cfg_file.exists():
-        meta = parse_config_text("".join(utf8_lines(cfg_file)), str(cfg_file))
-    return history, meta
+    if not cfg_file.exists():
+        return history, None, "real"
+    meta = parse_config_text("".join(utf8_lines(cfg_file)), str(cfg_file))
+    try:
+        cfg = build_experiment_config(meta)
+    except ParameterError as exc:
+        raise ParameterError(f"{cfg_file}: {exc}") from None
+    return history, cfg, meta.get("source", "real")
 
 
 def report(run_dirs, out_dir) -> dict[str, Path]:
@@ -337,18 +348,18 @@ def report(run_dirs, out_dir) -> dict[str, Path]:
     summary_rows = []
     fig2, fig3, fig4, fig5 = [], [], [], []
     for d in dirs:
-        history, meta = _read_run_dir(d)
-        kind = meta.get("target.kind", "")
-        n_sites = meta.get("target.n", "")
-        d_max = meta.get("target.d_max", "")
-        eps = meta.get("noise_epsilon", "")
-        thr = float(meta.get("fidelity_threshold", ExperimentConfig.fidelity_threshold))
-        source = meta.get("source", "real")
+        history, cfg, source = _read_run_dir(d)
+        spec = getattr(cfg, "target", None)
+        kind, n_sites, d_max = (
+            (spec.kind, spec.n_sites, spec.d_max) if isinstance(spec, TargetSpec) else ("", "", "")
+        )
+        eps = "" if cfg is None else _fmt(cfg.noise_epsilon)
+        thr = (cfg or ExperimentConfig()).fidelity_threshold
         reached = replicas_to_threshold(history, thr)
         last = history[-1]
         f_ps = None
         if last.f_true is not None and n_sites:
-            f_ps = per_site_fidelity(last.f_true, int(n_sites))
+            f_ps = per_site_fidelity(last.f_true, n_sites)
         summary_rows.append(
             [
                 d.name,
@@ -383,7 +394,7 @@ def report(run_dirs, out_dir) -> dict[str, Path]:
                 ]
             )
         if reached is not None and kind and source != "virtual":
-            if kind.lower() == "random":
+            if kind == "Random":
                 fig3.append([n_sites, d_max, reached])
             else:
                 fig2.append([kind, n_sites, _fmt(thr), reached])

@@ -76,7 +76,7 @@ def w_state(n_sites, theta=0.0) -> MatrixProductState:
     last[1, 0, 0] = 1.0
     last[0, 1, 0] = np.exp(1j * n_sites * theta)
     tensors.append(last)
-    return MatrixProductState(tensors, copy=False)
+    return MatrixProductState(tensors)
 
 
 def cluster_state(n_sites) -> MatrixProductState:
@@ -103,7 +103,7 @@ def cluster_state(n_sites) -> MatrixProductState:
         for v in range(2):
             last[a, v, 0] = s * (-1.0) ** (a * v)
     tensors.append(last)
-    return MatrixProductState(tensors, copy=False)
+    return MatrixProductState(tensors)
 
 
 def dimer_state(n_sites) -> MatrixProductState:
@@ -117,11 +117,7 @@ def dimer_state(n_sites) -> MatrixProductState:
     tail = np.zeros((2, 2, 1), dtype=complex)
     tail[1, 0, 0] = -s
     tail[0, 1, 0] = s
-    tensors = []
-    for _ in range(n_sites // 2):
-        tensors.append(head.copy())
-        tensors.append(tail.copy())
-    return MatrixProductState(tensors, copy=False)
+    return MatrixProductState([head, tail] * (n_sites // 2))
 
 
 def random_target(n_sites, d_max, seed) -> MatrixProductState:

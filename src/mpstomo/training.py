@@ -132,11 +132,8 @@ class BondObjective:
     respect to the conjugated tensor.  Shots whose normalized probability
     falls below _PROB_FLOOR contribute the clamped constant to the loss and
     nothing to the gradient; ``clamped_last`` tallies them per evaluation.
-
-    ``gradient(merged, amps)`` called next after ``loss(merged, amps)``, with
-    the same array objects, reuses the norm, probabilities and purity that
-    ``loss`` computed, once; a caller that changes those arrays in place
-    between the two calls must pass ``amps=None`` to ``gradient``.
+    ``loss`` and ``gradient`` accept the ``point`` of their merged tensor,
+    so that a caller evaluating both at one tensor computes it once.
     """
 
     def __init__(self, mps, bond, dataset, penalty_weight):
@@ -170,50 +167,38 @@ class BondObjective:
         self._la = (left[:, :, None] * row_a[:, None, :]).reshape(count, d1 * q)
         self._rb = (row_b[:, :, None] * right[:, None, :]).reshape(count, q * d2)
         self.clamped_last = 0
-        self._last = None  # (merged, *point) of the last loss, until gradient uses it
 
     def amplitudes(self, merged) -> np.ndarray:
         d1, q, _, d2 = self.shape
         m2 = merged.reshape(d1 * q, q * d2)
         return np.einsum("sy,sy->s", self._la @ m2, self._rb)
 
-    def _norm_sq(self, merged) -> float:
+    def point(self, merged):
+        """(amplitudes, |M|^2, normalized probabilities, purity terms) at
+        ``merged``; the purity terms are (Tr[(Theta Theta^dag)^2], Theta,
+        Theta Theta^dag) of the raw bond matricization Theta, or None when
+        the penalty weight is 0."""
         n2 = float(np.vdot(merged, merged).real)
         if n2 <= 0 or not np.isfinite(n2):
             raise DegenerateStateError("merged tensor has zero norm")
-        return n2
+        amps = self.amplitudes(merged)
+        purity = None
+        if self.penalty_weight != 0.0:
+            d1, q, _, d2 = self.shape
+            theta = merged.reshape(d1 * q, q * d2)
+            g = theta @ theta.conj().T
+            purity = float(np.vdot(g, g).real), theta, g
+        return amps, n2, np.abs(amps) ** 2 / n2, purity
 
-    def _purity(self, merged):
-        """Tr[(Theta Theta^dag)^2] of the raw bond matricization."""
-        d1, q, _, d2 = self.shape
-        theta = merged.reshape(d1 * q, q * d2)
-        g = theta @ theta.conj().T
-        return float(np.vdot(g, g).real), theta, g
-
-    def _point(self, merged, amps):
-        """(amps, |M|^2, normalized probabilities, purity terms or None) at
-        ``merged``."""
-        n2 = self._norm_sq(merged)
-        if amps is None:
-            amps = self.amplitudes(merged)
-        probs = np.abs(amps) ** 2 / n2
-        purity = self._purity(merged) if self.penalty_weight != 0.0 else None
-        return amps, n2, probs, purity
-
-    def loss(self, merged, amps=None) -> float:
-        amps, n2, probs, purity = point = self._point(merged, amps)
-        self._last = (merged, *point)
+    def loss(self, merged, point=None) -> float:
+        _, n2, probs, purity = self.point(merged) if point is None else point
         value = _clamped_nll(probs)
         if purity is not None:
             value += self.penalty_weight * (2.0 * np.log(n2) - np.log(purity[0]))
         return value
 
-    def gradient(self, merged, amps=None) -> np.ndarray:
-        last, self._last = self._last, None
-        if amps is not None and last is not None and last[0] is merged and last[1] is amps:
-            amps, n2, probs, purity = last[1:]
-        else:
-            amps, n2, probs, purity = self._point(merged, amps)
+    def gradient(self, merged, point=None) -> np.ndarray:
+        amps, n2, probs, purity = self.point(merged) if point is None else point
         live = probs >= _PROB_FLOOR
         n_live = int(live.sum())
         self.clamped_last = self.count - n_live
@@ -234,17 +219,17 @@ class BondObjective:
 
 def _optimize_bond(obj, merged, config):
     step = config.step_size
-    amps = obj.amplitudes(merged)
-    loss = obj.loss(merged, amps)
+    point = obj.point(merged)
+    loss = obj.loss(merged, point)
     for _ in range(_GRAD_STEPS):
         if step == 0.0:
             break
-        grad = obj.gradient(merged, amps)
+        grad = obj.gradient(merged, point)
         trial = merged + step * grad
-        trial_amps = obj.amplitudes(trial)
-        trial_loss = obj.loss(trial, trial_amps)
+        trial_point = obj.point(trial)
+        trial_loss = obj.loss(trial, trial_point)
         if trial_loss <= loss:
-            merged, loss, amps = trial, trial_loss, trial_amps
+            merged, loss, point = trial, trial_loss, trial_point
             step = min(step * 1.2, config.step_size)
         else:
             step *= _STEP_SHRINK
@@ -252,19 +237,19 @@ def _optimize_bond(obj, merged, config):
 
 
 class _SweepEngine:
-    """Mutable sweep state: tensor chain plus cached shot environments."""
+    """Mutable sweep state: tensor chain plus cached shot environments.
+    Between sweeps the canonical center is at site 0."""
 
     def __init__(self, mps, dataset, config):
         config.validate()
         if mps.n_sites < 2:
             raise ParameterError("training needs at least 2 sites")
-        # canonicalize returns fresh arrays, so the engine may own them
+        # canonicalize returns a state that owns its arrays, so the engine may too
         self.tensors, self.rows = _tensors_and_rows(mps.canonicalize(0), dataset)
         self.n = mps.n_sites
         self.cfg = config
         self.left = _left_envs(self.tensors, self.rows, 0)
         self.right = _right_envs(self.tensors, self.rows, 2)
-        self.center = 0
 
     def _train_bond(self, k, lam, move):
         cfg = self.cfg
@@ -280,31 +265,22 @@ class _SweepEngine:
         self.tensors[k], self.tensors[k + 1] = a, b
         if move == "right":
             self.left[k + 1] = _contract_left(self.left[k], a, self.rows[k])
-            self.center = k + 1
         else:
             self.right[k + 1] = _contract_right(b, self.rows[k + 1], self.right[k + 2])
-            self.center = k
 
     def sweep(self, lam) -> LossReport:
-        """One full left-to-right-to-left pass at penalty weight ``lam``."""
+        """One full left-to-right-to-left pass at penalty weight ``lam``,
+        reported with the entropy across bond 0, where it parks the center."""
         last = self.n - 2
         for k in range(last + 1):
             self._train_bond(k, lam, "right" if k < last else "left")
         for k in range(last, -1, -1):
             self._train_bond(k, lam, "left")
-        return self.report(lam)
-
-    def report(self, lam) -> LossReport:
-        # entropy across bond 0, where the sweep parks the center
-        state = MatrixProductState(self.tensors, center=self.center, copy=False)
-        return LossReport.build(
-            _chain_nll(self.tensors, self.rows),
-            state.renyi2_entropy(0),
-            lam,
-        )
+        penalty = self.to_mps().renyi2_entropy(0)
+        return LossReport.build(_chain_nll(self.tensors, self.rows), penalty, lam)
 
     def to_mps(self) -> MatrixProductState:
-        return MatrixProductState(self.tensors, center=self.center, copy=True)
+        return MatrixProductState(self.tensors, center=0)
 
 
 def train_stage(mps, dataset, config) -> tuple[MatrixProductState, list[LossReport]]:
@@ -312,7 +288,8 @@ def train_stage(mps, dataset, config) -> tuple[MatrixProductState, list[LossRepo
 
     Sweep t uses penalty weight lambda0 * lambda_decay**t.  Stops when the
     relative change of the total loss drops below convergence_tol or after
-    sweeps_per_stage sweeps; the appended final report is taken at lam = 0.
+    sweeps_per_stage sweeps; the appended final report is the last sweep's
+    nll and penalty at lam = 0.
     """
     engine = _SweepEngine(mps, dataset, config)
     history = []
@@ -326,5 +303,5 @@ def train_stage(mps, dataset, config) -> tuple[MatrixProductState, list[LossRepo
                 break
         prev = rep.total
         lam *= config.lambda_decay
-    history.append(engine.report(0.0))
+    history.append(LossReport.build(rep.nll, rep.penalty, 0.0))
     return engine.to_mps(), history

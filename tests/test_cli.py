@@ -76,7 +76,9 @@ class TestTomoCommand:
         ])
         assert rc == 2  # "no stages" is a parameter error
 
-    @pytest.mark.parametrize("override", ["batch_growth=nan", "train.step_size=inf"])
+    @pytest.mark.parametrize(
+        "override", ["batch_growth=nan", "train.step_size=inf", "batch_max=-1"]
+    )
     def test_non_finite_override_exit_code(self, tmp_path, override):
         cfg = write_cfg(tmp_path / "exp.cfg", BASE_CFG)
         rc = main([
@@ -84,6 +86,18 @@ class TestTomoCommand:
             "--seed", "4", "--out", str(tmp_path / "r"),
         ])
         assert rc == 2
+
+    def test_set_target_field_updates_the_config_target(self, tmp_path):
+        cfg = write_cfg(tmp_path / "exp.cfg", BASE_CFG)
+        out = tmp_path / "r"
+        rc = main([
+            "tomo", "--config", cfg, "--set", "target.n=6", "--set", "target.theta=0.3",
+            "--seed", "4", "--out", str(out),
+        ])
+        assert rc == 0
+        echoed = (out / "run.cfg").read_text()
+        for line in ("target.kind = W", "target.n = 6", "target.theta = 0.3"):
+            assert line in echoed.splitlines(), line
 
     def test_unknown_config_key_exit_code(self, tmp_path):
         cfg = write_cfg(tmp_path / "exp.cfg", BASE_CFG + "nonsense = 1\n")
@@ -158,6 +172,24 @@ class TestReportCommand:
         summary = (tmp_path / "rep" / "summary.csv").read_text().splitlines()
         assert len(summary) == 3
 
+    @pytest.mark.parametrize(
+        "key, bad", [("fidelity_threshold", "abc"), ("target.n", "four")]
+    )
+    def test_report_bad_run_cfg_value_exit_code(self, tmp_path, capsys, key, bad):
+        cfg = write_cfg(tmp_path / "exp.cfg", BASE_CFG)
+        run = tmp_path / "r"
+        assert main(["tomo", "--config", cfg, "--seed", "4", "--out", str(run)]) == 0
+        run_cfg = run / "run.cfg"
+        lines = [
+            f"{key} = {bad}" if line.startswith(f"{key} =") else line
+            for line in run_cfg.read_text().splitlines()
+        ]
+        run_cfg.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["report", "--runs", str(run), "--out", str(tmp_path / "rep")]) == 2
+        err = capsys.readouterr().err
+        assert str(run_cfg) in err and repr(key) in err
+
     def test_report_empty_dir(self, tmp_path):
         (tmp_path / "empty").mkdir()
         rc = main(["report", "--runs", str(tmp_path / "empty"), "--out", str(tmp_path / "rep")])
@@ -173,6 +205,29 @@ class TestSuiteCommand:
         ])
         assert rc == 0
         assert (tmp_path / "suite" / "suite_size.csv").exists()
+
+    @pytest.mark.parametrize(
+        "grid, seeds", [("a", "1"), ("4,x", "1"), ("4", "0")], ids=["grid-a", "grid-4x", "seeds-0"]
+    )
+    def test_bad_grid_or_seeds_exit_code(self, tmp_path, capsys, grid, seeds):
+        cfg = write_cfg(tmp_path / "exp.cfg", BASE_CFG)
+        rc = main([
+            "suite", "--kind", "size", "--grid", grid, "--seeds", seeds,
+            "--config", cfg, "--seed", "5", "--out", str(tmp_path / "suite"),
+        ])
+        assert rc == 2
+        assert not (tmp_path / "suite" / "suite_size.csv").exists()
+
+    def test_unreached_grid_value_leaves_fields_empty(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "exp.cfg", BASE_CFG + "fidelity_threshold = 0.9999\nmax_replicas = 40\n")
+        rc = main([
+            "suite", "--kind", "size", "--grid", "4", "--seeds", "1",
+            "--config", cfg, "--seed", "5", "--out", str(tmp_path / "suite"),
+        ])
+        assert rc == 0
+        rows = (tmp_path / "suite" / "suite_size.csv").read_text().splitlines()
+        assert rows[1] == "4,,,0,1"
+        assert "size=4 mean|V|= std= ok=0 failed=1" in capsys.readouterr().out
 
 
 class TestVirtualCommand:

@@ -127,22 +127,16 @@ class TestTwoSiteGradient:
         rel /= np.linalg.norm(obj.gradient(merged))
         assert rel < 1e-5
 
-    def test_gradient_after_loss_matches_a_fresh_gradient(self, rng):
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    def test_passed_point_matches_a_fresh_one(self, rng, lam):
         target = random_target(4, 2, seed=5)
         ds = measure_batch(target, 60, 0.0, rng)
         model = random_init(4, 2, 3, seed=2).canonicalize(1)
-        obj = BondObjective(model, 1, ds, 0.1)
+        obj = BondObjective(model, 1, ds, lam)
         merged = model.merge_adjacent(1)
-        amps = obj.amplitudes(merged)
-        obj.loss(merged, amps)
-        assert np.array_equal(obj.gradient(merged, amps), obj.gradient(merged))
-        # the point loss computed is reused once: arrays changed in place
-        # after that gradient are evaluated afresh
-        obj.loss(merged, amps)
-        obj.gradient(merged, amps)
-        merged *= 1.5
-        amps[:] = obj.amplitudes(merged)
-        assert np.array_equal(obj.gradient(merged, amps), obj.gradient(merged.copy()))
+        point = obj.point(merged)
+        assert obj.loss(merged, point) == obj.loss(merged)
+        assert np.array_equal(obj.gradient(merged, point), obj.gradient(merged))
 
 
 class TestSweep:
@@ -197,6 +191,13 @@ class TestTrainStage:
         expect = [cfg.lambda0 * cfg.lambda_decay**t for t in range(len(lams))]
         np.testing.assert_allclose(lams, expect, rtol=1e-12)
         assert history[-1].lam == 0.0
+
+    def test_closing_report_reuses_the_last_sweep(self, rng):
+        ds = measure_batch(w_state(4, 0.0), 100, 0.0, rng)
+        _, history = train_stage(random_init(4, 2, 2, seed=1), ds, TrainConfig(d_cap=4))
+        last, closing = history[-2], history[-1]
+        assert (closing.nll, closing.penalty, closing.lam) == (last.nll, last.penalty, 0.0)
+        assert closing.total == closing.nll
 
     def test_loss_non_increasing_at_fixed_lambda(self, rng):
         target = random_target(5, 2, seed=6)
