@@ -69,11 +69,8 @@ def _cmd_suite(args) -> int:
         grid = [int(g) for g in args.grid.split(",") if g]
     except ValueError:
         raise ParameterError(f"--grid expects comma-separated integers: {args.grid!r}") from None
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    result = run_scaling_suite(
-        args.kind, grid, cfg, n_seeds=args.seeds, out_path=out / f"suite_{args.kind}.csv"
-    )
+    out_path = Path(args.out) / f"suite_{args.kind}.csv"
+    result = run_scaling_suite(args.kind, grid, cfg, n_seeds=args.seeds, out_path=out_path)
     for row in result.rows:
         stats = (row.mean_replicas, row.std_replicas)
         mean, std = ("" if v is None else f"{v:.1f}" for v in stats)

@@ -238,7 +238,11 @@ def build_experiment_config(mapping, base=None) -> ExperimentConfig:
 
 def load_config(path, base=None) -> ExperimentConfig:
     text = "".join(utf8_lines(path))
-    return build_experiment_config(parse_config_text(text, str(path)), base)
+    pairs = parse_config_text(text, str(path))
+    try:
+        return build_experiment_config(pairs, base)
+    except ParameterError as exc:
+        raise ParameterError(f"{path}: {exc}") from None
 
 
 def _section_pairs(prefix, obj) -> list[tuple[str, str]]:

@@ -15,7 +15,10 @@ O(N q^2 D^2).
 
 from __future__ import annotations
 
+import re
+from contextlib import closing
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -23,6 +26,8 @@ from .errors import DegenerateStateError, FormatError, ParameterError, utf8_line
 from .rotations import rotation_matrices
 
 _MASS_FLOOR = 1e-14
+_BLOCK = 512  # shots per write, lines per read of a shot file
+_SITE = r"[^;,]*,[^;,]*,[^;,]*"  # one "theta,phi,2m" site field
 
 
 @dataclass(frozen=True)
@@ -90,45 +95,59 @@ class Dataset:
             raise ParameterError("datasets are incompatible")
         self.extend_raw(other.thetas, other.phis, other.outcome_indices)
 
-    # one line per shot; per-site fields "theta,phi,2m" joined by semicolons
+    # one line per shot; per-site fields "theta,phi,2m" joined by semicolons,
+    # each float written as its repr, which reads back exactly
     def to_file(self, path) -> None:
-        thetas, phis = self.thetas, self.phis
         twice_m = (self.local_dim - 1) - 2 * self.outcome_indices
+        row = ";".join(["%r,%r,%d"] * self.n_sites) + "\n"
+        # an object array hands the format Python floats and ints, and "%r"
+        # of a Python float is its repr
+        cells = np.empty((min(_BLOCK, len(self)), self.n_sites, 3), dtype=object)
         with open(path, "w") as f:
-            for s in range(len(self)):
-                fields = (
-                    f"{float(thetas[s, j])!r},{float(phis[s, j])!r},{twice_m[s, j]:d}"
-                    for j in range(self.n_sites)
-                )
-                f.write(";".join(fields) + "\n")
+            for start in range(0, len(self), _BLOCK):
+                block = cells[: min(_BLOCK, len(self) - start)]
+                shots = slice(start, start + len(block))
+                block[..., 0] = self.thetas[shots]
+                block[..., 1] = self.phis[shots]
+                block[..., 2] = twice_m[shots]
+                f.write((row * len(block)) % tuple(block.ravel().tolist()))
 
     @classmethod
     def from_file(cls, path, local_dim) -> "Dataset":
-        rows, line_numbers = [], []
-        for ln, line in enumerate(utf8_lines(path), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            triples = [fld.split(",") for fld in line.split(";")]
-            if any(len(t) != 3 for t in triples):
-                raise FormatError(f"{path}: line {ln}: every site field must be theta,phi,2m")
-            try:
-                th = [float(t[0]) for t in triples]
-                ph = [float(t[1]) for t in triples]
-                tm = [int(t[2]) for t in triples]
-            except ValueError as exc:
-                raise FormatError(f"{path}: line {ln}: {exc}") from exc
-            if rows and len(tm) != len(rows[0][2]):
-                raise FormatError(
-                    f"{path}: line {ln}: {len(tm)} sites, expected {len(rows[0][2])}"
-                )
-            rows.append((th, ph, tm))
-            line_numbers.append(ln)
-        if not rows:
+        blocks, numbers, shape, first = [], [], None, 1
+        with closing(utf8_lines(path)) as lines:
+            while True:
+                raw, not_utf8 = [], None
+                try:
+                    raw.extend(islice(lines, _BLOCK))
+                except FormatError as exc:
+                    not_utf8 = exc  # the lines read before the bad byte are checked first
+                rows = list(map(str.strip, raw))
+                line_no = np.arange(first, first + len(rows))
+                first += len(rows)
+                if not all(rows):
+                    line_no = line_no[[bool(row) for row in rows]]
+                    rows = list(filter(None, rows))
+                if rows and shape is None:  # the first shot sets the site count
+                    n_sites = rows[0].count(";") + 1
+                    shape = re.compile(f"{_SITE}(?:;{_SITE}){{{n_sites - 1}}}")
+                bad = len(rows)
+                if rows and not all(map(shape.fullmatch, rows)):
+                    bad = next(i for i, row in enumerate(rows) if not shape.fullmatch(row))
+                if bad:
+                    blocks.append(_parse_block(path, rows[:bad], line_no[:bad]))
+                    numbers.append(line_no[:bad])
+                if bad < len(rows):
+                    ln, sites = line_no[bad], len(_parse_shot(path, line_no[bad], rows[bad])[2])
+                    raise FormatError(f"{path}: line {ln}: {sites} sites, expected {n_sites}")
+                if not_utf8 is not None:
+                    raise not_utf8
+                if len(raw) < _BLOCK:
+                    break
+        if not blocks:
             raise FormatError(f"{path}: no shots")
-        thetas = np.array([r[0] for r in rows])
-        phis = np.array([r[1] for r in rows])
-        twice_m = np.array([r[2] for r in rows])
+        thetas, phis, twice_m = (np.concatenate(part) for part in zip(*blocks))
+        line_numbers = np.concatenate(numbers)
         offset = (local_dim - 1) - twice_m  # 2 p, even for a valid 2m
 
         def require(ok, what):
@@ -145,6 +164,40 @@ class Dataset:
         ds = cls(thetas.shape[1], local_dim)
         ds.extend_raw(thetas, phis, offset // 2)
         return ds
+
+
+def _parse_shot(path, ln, line):
+    """One stripped shot line as its theta, phi and 2m lists; FormatError
+    names the line and its first bad field, thetas before phis before 2m."""
+    triples = [fld.split(",") for fld in line.split(";")]
+    if any(len(t) != 3 for t in triples):
+        raise FormatError(f"{path}: line {ln}: every site field must be theta,phi,2m")
+    try:
+        return ([float(t[0]) for t in triples], [float(t[1]) for t in triples],
+                [int(t[2]) for t in triples])
+    except ValueError as exc:
+        raise FormatError(f"{path}: line {ln}: {exc}") from exc
+
+
+def _parse_block(path, rows, line_no):
+    """(thetas, phis, 2m) arrays of shape (len(rows), N) for stripped shot
+    lines that all match one site count; a field that does not parse is
+    looked up line by line, so the error names its line."""
+    fields = ",".join(rows).replace(";", ",").split(",")
+    count = len(fields) // 3
+    try:
+        thetas = np.fromiter(map(float, fields[0::3]), float, count)
+        phis = np.fromiter(map(float, fields[1::3]), float, count)
+        twice_m = list(map(int, fields[2::3]))
+    except ValueError:
+        for ln, row in zip(line_no, rows):
+            _parse_shot(path, ln, row)
+        raise
+    try:
+        twice_m = np.array(twice_m, dtype=np.int64)
+    except OverflowError:  # out of range for every q; judged on exact ints
+        twice_m = np.array(twice_m, dtype=object)
+    return tuple(a.reshape(len(rows), -1) for a in (thetas, phis, twice_m))
 
 
 # -- basis sampling ----------------------------------------------------------

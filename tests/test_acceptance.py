@@ -35,6 +35,7 @@ from mpstomo import (
     estimate_fidelity,
 )
 from mpstomo.oracle import DenseState
+from mpstomo.parallel import map_runs
 from mpstomo.rotations import rotation_matrices, wigner_d_matrix
 from mpstomo.training import BondObjective
 
@@ -195,11 +196,12 @@ def test_criterion_8_depolarizing_robustness():
     """2% depolarizing noise inflates the replica demand by at most 3x."""
     inflations = []
     finals = []
+    configs = []
     for seed in (80, 81, 82):
         clean_cfg = w_run_config(8, seed=seed, max_replicas=20_000, threshold=0.99)
-        noisy_cfg = replace(clean_cfg, noise_epsilon=0.02)
-        clean_hist, _ = run_tomography(clean_cfg)
-        noisy_hist, _ = run_tomography(noisy_cfg)
+        configs += [clean_cfg, replace(clean_cfg, noise_epsilon=0.02)]
+    histories = [hist for hist, _ in map_runs(run_tomography, configs)]
+    for clean_hist, noisy_hist in zip(histories[0::2], histories[1::2]):
         v_clean = replicas_to_threshold(clean_hist, 0.99)
         v_noisy = replicas_to_threshold(noisy_hist, 0.99)
         assert v_clean is not None and v_noisy is not None

@@ -7,20 +7,24 @@ and the lines of a shot record (``Dataset.from_file``).  The history,
 config and shot files may also get raw byte edits, so they need not stay
 UTF-8.  The CLI may only exit 0, 2 or 3, and never exits 0 with a
 non-finite field in a ``history.csv`` it wrote; ``Dataset.from_file`` may
-only raise FormatError or ParameterError.  Examples are derandomized so
-that the suite stays deterministic.  A file that is not UTF-8 raises
-FormatError in each of the three text readers.
+only raise FormatError or ParameterError, and must agree with a reference
+reader that parses the file line by line: bit-identical arrays, or the
+same exception type and message.  Examples are derandomized so that the
+suite stays deterministic.  A file that is not UTF-8 raises FormatError in
+each of the three text readers.
 """
 
 import csv
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from mpstomo import Dataset, FormatError, ParameterError, load_config, w_state
 from mpstomo.cli import main
+from mpstomo.errors import utf8_lines
 from mpstomo.runner import read_history
 
 # a W4 protocol small enough for tens of runs in a few seconds
@@ -187,6 +191,65 @@ def test_mutated_config_tomo(tmp_path_factory, data):
         _assert_finite_history(work / "run" / "history.csv")
 
 
+def _reference_from_file(path, local_dim) -> Dataset:
+    """The shot-file reader as a plain line-by-line loop: each line is split
+    and converted on its own, and the checks run on the whole file."""
+    rows, line_numbers = [], []
+    for ln, line in enumerate(utf8_lines(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        triples = [fld.split(",") for fld in line.split(";")]
+        if any(len(t) != 3 for t in triples):
+            raise FormatError(f"{path}: line {ln}: every site field must be theta,phi,2m")
+        try:
+            th = [float(t[0]) for t in triples]
+            ph = [float(t[1]) for t in triples]
+            tm = [int(t[2]) for t in triples]
+        except ValueError as exc:
+            raise FormatError(f"{path}: line {ln}: {exc}") from exc
+        if rows and len(tm) != len(rows[0][2]):
+            raise FormatError(f"{path}: line {ln}: {len(tm)} sites, expected {len(rows[0][2])}")
+        rows.append((th, ph, tm))
+        line_numbers.append(ln)
+    if not rows:
+        raise FormatError(f"{path}: no shots")
+    thetas = np.array([r[0] for r in rows])
+    phis = np.array([r[1] for r in rows])
+    twice_m = np.array([r[2] for r in rows])
+    offset = (local_dim - 1) - twice_m
+
+    def require(ok, what):
+        bad = np.flatnonzero(~ok.all(axis=1))
+        if bad.size:
+            raise FormatError(f"{path}: line {line_numbers[bad[0]]}: {what}")
+
+    require(np.isfinite(thetas) & np.isfinite(phis), "non-finite angle")
+    require((thetas >= 0) & (thetas <= np.pi), "theta out of [0, pi]")
+    require((phis >= 0) & (phis < 2 * np.pi), "phi out of [0, 2 pi)")
+    require(offset % 2 == 0, f"2m must have the parity of q - 1 = {local_dim - 1}")
+    require((offset >= 0) & (offset <= 2 * (local_dim - 1)),
+            f"outcome out of range for q={local_dim}")
+    ds = Dataset(thetas.shape[1], local_dim)
+    ds.extend_raw(thetas, phis, offset // 2)
+    return ds
+
+
+def _read_outcome(read, path, local_dim):
+    """The arrays ``read`` returns, bit for bit, or its error type and text."""
+    try:
+        ds = read(path, local_dim)
+    except (FormatError, ParameterError) as exc:
+        return type(exc), str(exc)
+    return [(a.dtype, a.shape, a.tobytes()) for a in (ds.thetas, ds.phis, ds.outcome_indices)]
+
+
+def _assert_reads_like_reference(path, local_dim):
+    expected = _read_outcome(_reference_from_file, path, local_dim)
+    assert _read_outcome(Dataset.from_file, path, local_dim) == expected
+    return expected
+
+
 @_SETTINGS
 @given(data=st.data(), local_dim=st.integers(1, 3))
 def test_mutated_shots_from_file(w4_run, tmp_path_factory, data, local_dim):
@@ -194,10 +257,61 @@ def test_mutated_shots_from_file(w4_run, tmp_path_factory, data, local_dim):
     sep = data.draw(st.sampled_from([";", ","]))
     path = tmp_path_factory.mktemp("shots") / "shots.txt"
     _text_file(data, path, data.draw(_line_edits(lines, sep)))
-    try:
-        Dataset.from_file(path, local_dim)
-    except (FormatError, ParameterError):
-        pass
+    _assert_reads_like_reference(path, local_dim)
+
+
+def _set_field(line, site, k, value):
+    sites = [s.split(",") for s in line.split(";")]
+    sites[site][k] = value
+    return ";".join(",".join(s) for s in sites)
+
+
+def _long_shot_file(w4_run, count=6000):
+    """``count`` W4 shot lines, lines 100 and 2500 blank."""
+    shots = (w4_run / "run" / "shots.txt").read_text().splitlines()
+    lines = [shots[i % len(shots)] for i in range(count)]
+    lines[99] = lines[2499] = ""
+    return lines
+
+
+# a bad line 5000 of a 6000-line file lies past the reader's first blocks
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda line: line, None),
+        (lambda line: _set_field(line, 1, 1, "zz"), "could not convert string to float: 'zz'"),
+        (lambda line: _set_field(line, 2, 2, "1.0"), "invalid literal for int() with base 10: '1.0'"),
+        (lambda line: line.rsplit(";", 1)[0], "3 sites, expected 4"),
+        (lambda line: line + ",7", "every site field must be theta,phi,2m"),
+        (lambda line: _set_field(line, 0, 0, "nan"), "non-finite angle"),
+        (lambda line: _set_field(line, 3, 1, "7"), r"phi out of [0, 2 pi)"),
+        (lambda line: _set_field(line, 0, 2, "0"), "2m must have the parity of q - 1 = 1"),
+        (lambda line: _set_field(line, 0, 2, "3"), "outcome out of range for q=2"),
+        (lambda line: _set_field(line, 0, 2, "99999999999999999999"), "outcome out of range for q=2"),
+    ],
+    ids=["valid", "float", "int", "sites", "fields", "nan", "phi", "parity", "range", "huge-int"],
+)
+def test_bad_line_past_the_first_block(w4_run, tmp_path, edit, message):
+    lines = _long_shot_file(w4_run)
+    lines[4999] = edit(lines[4999])
+    path = tmp_path / "shots.txt"
+    path.write_text("\n".join(lines) + "\n")
+    outcome = _assert_reads_like_reference(path, 2)
+    if message is None:
+        assert outcome[0][1] == (5998, 4)
+    else:
+        assert outcome == (FormatError, f"{path}: line 5000: {message}")
+
+
+@pytest.mark.parametrize("byte_line, expected_line", [(5500, 5000), (5000, 5000), (3000, 3000)])
+def test_bad_line_and_bad_byte_past_the_first_block(w4_run, tmp_path, byte_line, expected_line):
+    lines = [line.encode() for line in _long_shot_file(w4_run)]
+    lines[4999] = lines[4999] + b",7"
+    lines[byte_line - 1] = b"\xff" + lines[byte_line - 1]
+    path = tmp_path / "shots.txt"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    kind, message = _assert_reads_like_reference(path, 2)
+    assert message.startswith(f"{path}: line {expected_line}: ")
 
 
 @pytest.mark.parametrize(

@@ -104,6 +104,13 @@ class TestTomoCommand:
         rc = main(["tomo", "--config", cfg, "--seed", "4", "--out", str(tmp_path / "r")])
         assert rc == 2
 
+    def test_bad_config_value_names_the_file(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "exp.cfg", BASE_CFG + "fidelity_threshold = abc\n")
+        rc = main(["tomo", "--config", cfg, "--seed", "4", "--out", str(tmp_path / "r")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}: config key 'fidelity_threshold': cannot parse 'abc'" in err
+
     def test_run_cfg_reruns_the_run(self, tmp_path):
         # run.cfg echoes the resolved config and loads back, its source line included
         cfg = write_cfg(tmp_path / "exp.cfg", BASE_CFG)
@@ -207,7 +214,8 @@ class TestSuiteCommand:
         assert (tmp_path / "suite" / "suite_size.csv").exists()
 
     @pytest.mark.parametrize(
-        "grid, seeds", [("a", "1"), ("4,x", "1"), ("4", "0")], ids=["grid-a", "grid-4x", "seeds-0"]
+        "grid, seeds", [("a", "1"), ("4,x", "1"), ("4", "0"), (",", "1")],
+        ids=["grid-a", "grid-4x", "seeds-0", "grid-empty"],
     )
     def test_bad_grid_or_seeds_exit_code(self, tmp_path, capsys, grid, seeds):
         cfg = write_cfg(tmp_path / "exp.cfg", BASE_CFG)
@@ -216,7 +224,7 @@ class TestSuiteCommand:
             "--config", cfg, "--seed", "5", "--out", str(tmp_path / "suite"),
         ])
         assert rc == 2
-        assert not (tmp_path / "suite" / "suite_size.csv").exists()
+        assert not (tmp_path / "suite").exists()
 
     def test_unreached_grid_value_leaves_fields_empty(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "exp.cfg", BASE_CFG + "fidelity_threshold = 0.9999\nmax_replicas = 40\n")

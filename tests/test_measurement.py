@@ -274,6 +274,23 @@ class TestDataset:
         assert int(fields[1].split(",")[2]) == -1
         # >= 12 significant digits survive the roundtrip
         assert float(fields[1].split(",")[0]) == 1.5
+        # the exact text: repr of each float, in exponent form below 1e-4,
+        # and 2m over the whole range for q = 3 and q = 4
+        pinned = {3: Dataset(3, 3), 4: Dataset(4, 4)}
+        pinned[3].extend_raw(
+            [[0.0, np.pi, 1e-4], [9.5e-5, 1.5e-300, 2.0]],
+            [[np.nextafter(2 * np.pi, 0), 0.0, 1e-7], [3.0, 0.5, 1.25]],
+            [[0, 1, 2], [2, 1, 0]],
+        )
+        pinned[4].extend_raw([[0.1, 0.2, 0.3, 0.4]], [[1.0, 2.0, 4.0, 6.0]], [[0, 1, 2, 3]])
+        expected = {
+            3: "0.0,6.283185307179585,2;3.141592653589793,0.0,0;0.0001,1e-07,-2\n"
+               "9.5e-05,3.0,-2;1.5e-300,0.5,0;2.0,1.25,2\n",
+            4: "0.1,1.0,3;0.2,2.0,1;0.3,4.0,-1;0.4,6.0,-3\n",
+        }
+        for q, ds in pinned.items():
+            ds.to_file(path)
+            assert path.read_text() == expected[q]
 
     def test_rejects_mismatched_shot(self):
         ds = Dataset(3, 2)
