@@ -64,7 +64,6 @@ def _cmd_tomo(args) -> int:
 
 def _cmd_suite(args) -> int:
     cfg = _config_from_args(args)
-    cfg.output_dir = None
     try:
         grid = [int(g) for g in args.grid.split(",") if g]
     except ValueError:

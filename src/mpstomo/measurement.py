@@ -86,9 +86,19 @@ class Dataset:
             raise ParameterError("mismatched shot arrays")
         if thetas.ndim != 2 or thetas.shape[1] != self.n_sites:
             raise ParameterError("shot arrays must have shape (count, n_sites)")
-        self.thetas = np.concatenate([self.thetas, thetas])
-        self.phis = np.concatenate([self.phis, phis])
-        self.outcome_indices = np.concatenate([self.outcome_indices, idx])
+        new = slice(len(self), None)
+        thetas, phis, idx = (np.concatenate(pair) for pair in zip(
+            (self.thetas, self.phis, self.outcome_indices), (thetas, phis, idx)))
+        # the ranges of MeasurementBasis and of the shot file, checked on the
+        # joined copy, which is contiguous; min and max pass a NaN on, which
+        # fails the comparison, and initial=0 lets an empty batch through
+        if not (thetas[new].min(initial=0) >= 0 and thetas[new].max(initial=0) <= np.pi):
+            raise ParameterError("theta out of [0, pi]")
+        if not (phis[new].min(initial=0) >= 0 and phis[new].max(initial=0) < 2 * np.pi):
+            raise ParameterError("phi out of [0, 2 pi)")
+        if not (idx[new].min(initial=0) >= 0 and idx[new].max(initial=0) < self.local_dim):
+            raise ParameterError(f"outcome index out of [0, {self.local_dim})")
+        self.thetas, self.phis, self.outcome_indices = thetas, phis, idx
 
     def extend(self, other: "Dataset") -> None:
         if other.n_sites != self.n_sites or other.local_dim != self.local_dim:
@@ -147,6 +157,7 @@ class Dataset:
         if not blocks:
             raise FormatError(f"{path}: no shots")
         thetas, phis, twice_m = (np.concatenate(part) for part in zip(*blocks))
+        del blocks  # the joined arrays are the one copy kept
         line_numbers = np.concatenate(numbers)
         offset = (local_dim - 1) - twice_m  # 2 p, even for a valid 2m
 
@@ -161,8 +172,8 @@ class Dataset:
         require(offset % 2 == 0, f"2m must have the parity of q - 1 = {local_dim - 1}")
         require((offset >= 0) & (offset <= 2 * (local_dim - 1)),
                 f"outcome out of range for q={local_dim}")
-        ds = cls(thetas.shape[1], local_dim)
-        ds.extend_raw(thetas, phis, offset // 2)
+        ds = cls(thetas.shape[1], local_dim)  # takes the checked arrays as they are
+        ds.thetas, ds.phis, ds.outcome_indices = thetas, phis, offset // 2
         return ds
 
 
@@ -238,16 +249,17 @@ def fixed_bases(n_sites) -> list[MeasurementBasis]:
 
 
 def _sample_outcome_indices(target, unitaries, count, rng) -> np.ndarray:
+    """Outcome indices of ``count`` shots; ``unitaries`` yields each site's
+    rotations, (count, q, q) or one (1, q, q) for every shot, in site order."""
     mps = target.canonicalize(0)
-    n = mps.n_sites
+    out = np.empty((count, mps.n_sites), dtype=np.int64)
     left = np.ones((count, 1), dtype=np.complex128)
-    out = np.empty((count, n), dtype=np.int64)
     rows = np.arange(count)
-    for j in range(n):
+    for j, u in enumerate(unitaries):
         a = mps.tensor(j)
         d1, q, d2 = a.shape
         t = (left @ a.reshape(d1, q * d2)).reshape(count, q, d2)
-        cand = np.einsum("smv,svj->smj", unitaries[j], t)  # (count, q, D2)
+        cand = np.einsum("smv,svj->smj", u, t)  # (count, q, D2)
         w = (cand.real**2 + cand.imag**2).sum(axis=2)
         total = w.sum(axis=1)
         if np.any(total < _MASS_FLOOR):
@@ -276,24 +288,22 @@ def draw_shots(target, basis, count, rng, epsilon=0.0) -> Dataset:
     if not 0.0 <= epsilon <= 1.0:
         raise ParameterError("epsilon must lie in [0, 1]")
     n, q = target.n_sites, target.local_dim
+    rows = count
     if isinstance(basis, MeasurementBasis):
         if basis.n_sites != n:
             raise ParameterError("basis length does not match the state")
-        # one rotation per site, seen by every shot through a stride-0 view
-        shared = rotation_matrices(basis.thetas, basis.phis, target.spin)
-        unitaries = [np.broadcast_to(u, (count, q, q)) for u in shared]
-        thetas, phis = (np.broadcast_to(a, (count, n)) for a in (basis.thetas, basis.phis))
-    else:
-        thetas, phis = (np.array(a, dtype=float) for a in basis)
-        if thetas.shape != (count, n) or phis.shape != (count, n):
-            raise ParameterError("per-shot angles must have shape (count, n_sites)")
-        unitaries = [rotation_matrices(thetas[:, j], phis[:, j], target.spin) for j in range(n)]
+        basis, rows = (basis.thetas[None], basis.phis[None]), 1  # one row for every shot
+    thetas, phis = (np.asarray(a, dtype=float) for a in basis)
+    if thetas.shape != (rows, n) or phis.shape != (rows, n):
+        raise ParameterError("per-shot angles must have shape (count, n_sites)")
+    # a generator, so that only the site being sampled holds its (count, q, q) stack
+    unitaries = (rotation_matrices(thetas[:, j], phis[:, j], target.spin) for j in range(n))
     noisy = rng.random(count) < epsilon if epsilon > 0.0 else None
     idx = _sample_outcome_indices(target, unitaries, count, rng)
     if noisy is not None and noisy.any():
         idx[noisy] = rng.integers(0, q, size=(int(noisy.sum()), n))
     ds = Dataset(n, q)
-    ds.extend_raw(thetas, phis, idx)
+    ds.extend_raw(*np.broadcast_arrays(thetas, phis, idx))
     return ds
 
 

@@ -269,8 +269,8 @@ def run_scaling_suite(kind, grid, config, n_seeds=8, out_path=None) -> SuiteResu
     For each grid value, runs ``n_seeds`` tomographies to the configured
     fidelity threshold and records the replica count where the true fidelity
     stabilized.  The bond suite also fits replicas = gamma * d_max**beta.
-    The directory of ``out_path`` is made once the grid and the seed count
-    are known to be valid.
+    The directory of ``out_path`` is made once the grid, the seed count and
+    the run configs are known to be valid.
     The runs are spread over the CPUs this process may use (see
     ``mpstomo.parallel``); the result is that of running them one after
     another.
@@ -281,13 +281,13 @@ def run_scaling_suite(kind, grid, config, n_seeds=8, out_path=None) -> SuiteResu
         raise ParameterError("empty suite grid")
     if n_seeds < 1:
         raise ParameterError(f"need at least one seed per grid value, got {n_seeds}")
-    if out_path is not None:
-        Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     configs = [
         _suite_config(config, kind, value, config.seed + 997 * gi + s)
         for gi, value in enumerate(grid)
         for s in range(n_seeds)
     ]
+    if out_path is not None:
+        Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     demand = map_runs(_suite_run, configs)
     rows = []
     for gi, value in enumerate(grid):

@@ -5,6 +5,7 @@ only when someone runs it; this test fails first.
 """
 
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -37,3 +38,23 @@ def test_bond_objective_keeps_the_attributes_the_hooks_read(rng):
     obj.gradient(model.merge_adjacent(1))
     for attr in ("count", "shape", "penalty_weight", "clamped_last"):
         assert hasattr(obj, attr), attr
+
+
+def test_hooks_read_the_arguments_they_count():
+    # the hooks read call arguments by position (``args[2]`` of
+    # _sample_outcome_indices is the shot count); a reordering would skew
+    # counters such as sampled_shots without any error
+    from mpstomo import measurement, runner, training
+
+    positional = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+    from_file = measurement.Dataset.__dict__["from_file"].__func__  # cls first, as traced
+    for fn, name, index in [
+        (measurement._sample_outcome_indices, "count", 2),
+        (measurement.measure_batch, "count", 1),
+        (training.train_stage, "config", 2),
+        (measurement.Dataset.to_file, "path", 1),
+        (from_file, "path", 1),
+        (runner.write_run_dir, "out_dir", 0),
+    ]:
+        param = list(inspect.signature(fn).parameters.values())[index]
+        assert param.name == name and param.kind in positional, f"{fn.__qualname__}: {name}"

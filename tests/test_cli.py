@@ -214,8 +214,8 @@ class TestSuiteCommand:
         assert (tmp_path / "suite" / "suite_size.csv").exists()
 
     @pytest.mark.parametrize(
-        "grid, seeds", [("a", "1"), ("4,x", "1"), ("4", "0"), (",", "1")],
-        ids=["grid-a", "grid-4x", "seeds-0", "grid-empty"],
+        "grid, seeds", [("a", "1"), ("4,x", "1"), ("4", "0"), (",", "1"), ("1", "1")],
+        ids=["grid-a", "grid-4x", "seeds-0", "grid-empty", "grid-1-site"],
     )
     def test_bad_grid_or_seeds_exit_code(self, tmp_path, capsys, grid, seeds):
         cfg = write_cfg(tmp_path / "exp.cfg", BASE_CFG)

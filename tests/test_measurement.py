@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -10,8 +12,11 @@ from mpstomo import (
     MatrixProductState,
     MeasurementBasis,
     ParameterError,
+    TargetSpec,
+    build_target,
     draw_shots,
     fixed_bases,
+    measure_batch,
     random_init,
     random_target,
     sample_bases,
@@ -186,6 +191,28 @@ class TestDrawShot:
         np.testing.assert_array_equal(a.thetas, b.thetas)
         np.testing.assert_array_equal(a.phis, b.phis)
 
+    def test_shared_basis_rotates_each_site_once(self, monkeypatch):
+        shapes = []
+
+        def recording(thetas, phis, spin):
+            shapes.append((np.shape(thetas), np.shape(phis)))
+            return rotation_matrices(thetas, phis, spin)
+
+        monkeypatch.setattr("mpstomo.measurement.rotation_matrices", recording)
+        basis = sample_basis(5, np.random.default_rng(3))
+        draw_shots(random_target(5, 3, seed=8), basis, 1000, np.random.default_rng(12))
+        assert shapes == [((1,), (1,))] * 5
+
+    @pytest.mark.parametrize(
+        "theta, phi",
+        [(4.0, 7.0), (-0.1, 1.0), (1.0, 2 * np.pi), (1.0, -1.0)],
+        ids=["both-high", "theta-negative", "phi-2pi", "phi-negative"],
+    )
+    def test_rejects_angles_the_shot_file_rejects(self, theta, phi):
+        angles = (np.full((4, 3), theta), np.full((4, 3), phi))
+        with pytest.raises(ParameterError, match="out of"):
+            draw_shots(w_state(3), angles, 4, np.random.default_rng(0))
+
     def test_degenerate_state_error(self):
         t = np.zeros((1, 2, 1), dtype=complex)
         broken = MatrixProductState([t, t.copy()])
@@ -292,6 +319,29 @@ class TestDataset:
             ds.to_file(path)
             assert path.read_text() == expected[q]
 
+    @pytest.mark.parametrize(
+        "thetas, phis, idx, message",
+        [
+            ([0.1, 3.5], [0.2, 0.3], [0, 1], "theta out of"),
+            ([0.1, -1e-9], [0.2, 0.3], [0, 1], "theta out of"),
+            ([0.1, np.nan], [0.2, 0.3], [0, 1], "theta out of"),
+            ([0.1, 0.2], [0.2, 2 * np.pi], [0, 1], "phi out of"),
+            ([0.1, 0.2], [-0.2, 0.3], [0, 1], "phi out of"),
+            ([0.1, 0.2], [0.2, np.inf], [0, 1], "phi out of"),
+            ([0.1, 0.2], [0.2, 0.3], [0, -1], r"outcome index out of \[0, 2\)"),
+            ([0.1, 0.2], [0.2, 0.3], [5, 1], r"outcome index out of \[0, 2\)"),
+        ],
+        ids=["theta-high", "theta-negative", "theta-nan", "phi-2pi", "phi-negative", "phi-inf",
+             "index-negative", "index-high"],
+    )
+    def test_extend_raw_rejects_what_the_shot_file_rejects(self, thetas, phis, idx, message):
+        ds = Dataset(2, 2)
+        ds.extend_raw([[0.0, np.pi]], [[0.0, 1.0]], [[1, 0]])
+        ds.extend_raw(np.empty((0, 2)), np.empty((0, 2)), np.empty((0, 2)))  # empty batches pass
+        with pytest.raises(ParameterError, match=message):
+            ds.extend_raw([thetas], [phis], [idx])
+        assert len(ds) == 1
+
     def test_rejects_mismatched_shot(self):
         ds = Dataset(3, 2)
         with pytest.raises(ParameterError):
@@ -329,3 +379,39 @@ class TestDataset:
                 ms = [0.5 - ((v >> (4 - j)) & 1) for j in range(5)]
                 total += shot_probability(target, basis, ms)
             assert abs(total - 1.0) < 1e-9
+
+
+def _peak_mb(fn, *args):
+    """fn(*args) and the peak of the memory it held at once, in MB; numpy
+    reports its array allocations to tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak / 1e6
+
+
+class TestMemory:
+    # 2 x 10^4 noisy shots of a Random N=16, D=8 target, the size of the
+    # shots_io benchmark: 7.7 MB of shot arrays.  Sampling and reading peak
+    # at 28.2 and 15.6 MB; holding every site's rotations, or a second copy
+    # of the shot arrays, at once would take them to 52.5 and 28.6 MB.
+
+    @pytest.fixture(scope="class")
+    def target(self):
+        return build_target(TargetSpec("Random", 16, d_max=8, seed=1))
+
+    def test_sampling_holds_one_site_of_rotations(self, target):
+        ds, peak = _peak_mb(measure_batch, target, 20_000, 0.02, np.random.default_rng(1))
+        assert len(ds) == 20_000
+        assert peak < 34.0
+
+    def test_reading_keeps_one_copy_of_the_shots(self, target, tmp_path):
+        ds = measure_batch(target, 20_000, 0.02, np.random.default_rng(1))
+        path = tmp_path / "shots.txt"
+        ds.to_file(path)
+        back, peak = _peak_mb(Dataset.from_file, path, 2)
+        assert back.outcome_indices.tobytes() == ds.outcome_indices.tobytes()
+        assert peak < 19.0
