@@ -30,12 +30,10 @@ from .estimation import (
 )
 from .measurement import (
     Dataset,
-    MeasurementBasis,
     draw_shots,
     fixed_bases,
     measure_batch,
     sample_bases,
-    sample_basis,
 )
 from .mps import (
     MatrixProductState,

@@ -1,9 +1,9 @@
 """Random product bases, projective single-shot sampling, and the shot dataset.
 
-A measurement basis is a list of per-site directions (theta, phi); measuring
-in it yields one magnetic number m per site.  Outcomes are stored internally
-as indices p = S - m (p = 0 is m = +S); the shot file carries the
-physical values 2m.
+A measurement basis is a pair of per-site angle arrays (thetas, phis), one
+direction per site; measuring in it yields one magnetic number m per site.
+Outcomes are stored internally as indices p = S - m (p = 0 is m = +S); the
+shot file carries the physical values 2m.
 
 Sampling from a matrix product state is autoregressive: with the state
 right-canonicalized, the rotated site tensors stay right-isometric, so the
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import re
 from contextlib import closing
-from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
@@ -30,32 +29,14 @@ _BLOCK = 512  # shots per write, lines per read of a shot file
 _SITE = r"[^;,]*,[^;,]*,[^;,]*"  # one "theta,phi,2m" site field
 
 
-@dataclass(frozen=True)
-class MeasurementBasis:
-    """Per-site measurement directions (theta in [0, pi], phi in [0, 2 pi))."""
-
-    thetas: np.ndarray
-    phis: np.ndarray
-
-    def __post_init__(self):
-        thetas = np.asarray(self.thetas, dtype=float)
-        phis = np.asarray(self.phis, dtype=float)
-        if thetas.ndim != 1 or thetas.shape != phis.shape:
-            raise ParameterError("thetas and phis must be 1-d arrays of equal length")
-        if np.any(thetas < 0) or np.any(thetas > np.pi):
-            raise ParameterError("theta out of [0, pi]")
-        if np.any(phis < 0) or np.any(phis >= 2 * np.pi):
-            raise ParameterError("phi out of [0, 2 pi)")
-        object.__setattr__(self, "thetas", thetas)
-        object.__setattr__(self, "phis", phis)
-
-    @property
-    def n_sites(self) -> int:
-        return len(self.thetas)
-
-    @classmethod
-    def all_z(cls, n_sites) -> "MeasurementBasis":
-        return cls(np.zeros(n_sites), np.zeros(n_sites))
+def check_angles(thetas, phis) -> None:
+    """ParameterError unless every theta lies in [0, pi] and every phi in
+    [0, 2 pi), the ranges of the shot file; min and max pass a NaN on, which
+    fails the comparison, and initial=0 lets an empty batch through."""
+    if not (thetas.min(initial=0) >= 0 and thetas.max(initial=0) <= np.pi):
+        raise ParameterError("theta out of [0, pi]")
+    if not (phis.min(initial=0) >= 0 and phis.max(initial=0) < 2 * np.pi):
+        raise ParameterError("phi out of [0, 2 pi)")
 
 
 class Dataset:
@@ -89,13 +70,7 @@ class Dataset:
         new = slice(len(self), None)
         thetas, phis, idx = (np.concatenate(pair) for pair in zip(
             (self.thetas, self.phis, self.outcome_indices), (thetas, phis, idx)))
-        # the ranges of MeasurementBasis and of the shot file, checked on the
-        # joined copy, which is contiguous; min and max pass a NaN on, which
-        # fails the comparison, and initial=0 lets an empty batch through
-        if not (thetas[new].min(initial=0) >= 0 and thetas[new].max(initial=0) <= np.pi):
-            raise ParameterError("theta out of [0, pi]")
-        if not (phis[new].min(initial=0) >= 0 and phis[new].max(initial=0) < 2 * np.pi):
-            raise ParameterError("phi out of [0, 2 pi)")
+        check_angles(thetas[new], phis[new])  # on the joined copy, which is contiguous
         if not (idx[new].min(initial=0) >= 0 and idx[new].max(initial=0) < self.local_dim):
             raise ParameterError(f"outcome index out of [0, {self.local_dim})")
         self.thetas, self.phis, self.outcome_indices = thetas, phis, idx
@@ -226,22 +201,17 @@ def sample_bases(count, n_sites, rng) -> tuple[np.ndarray, np.ndarray]:
     return thetas, phis
 
 
-def sample_basis(n_sites, rng) -> MeasurementBasis:
-    thetas, phis = sample_bases(1, n_sites, rng)
-    return MeasurementBasis(thetas[0], phis[0])
-
-
-def fixed_bases(n_sites) -> list[MeasurementBasis]:
-    """The 2N+1 fixed qubit product bases: all-z, then z with site k rotated
-    to x, then z with site k rotated to y."""
-    bases = [MeasurementBasis.all_z(n_sites)]
+def fixed_bases(n_sites) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The 2N+1 fixed qubit product bases as (thetas, phis) pairs: all-z,
+    then z with site k rotated to x, then z with site k rotated to y."""
+    bases = [(np.zeros(n_sites), np.zeros(n_sites))]
     for phi in (0.0, np.pi / 2.0):
         for k in range(n_sites):
             thetas = np.zeros(n_sites)
             phis = np.zeros(n_sites)
             thetas[k] = np.pi / 2.0
             phis[k] = phi
-            bases.append(MeasurementBasis(thetas, phis))
+            bases.append((thetas, phis))
     return bases
 
 
@@ -277,8 +247,9 @@ def _sample_outcome_indices(target, unitaries, count, rng) -> np.ndarray:
 
 def draw_shots(target, basis, count, rng, epsilon=0.0) -> Dataset:
     """Sample ``count`` independent shots with outcome probability equal to the
-    squared rotated amplitude.  ``basis`` is a single MeasurementBasis applied
-    to every shot, or a (thetas, phis) pair of (count, N) arrays.
+    squared rotated amplitude.  ``basis`` is a (thetas, phis) pair of
+    (count, N) arrays, one row per shot, or of one row, (N,) or (1, N),
+    shared by every shot.
 
     Depolarizing noise: with probability ``epsilon`` a shot's outcomes are
     replaced by a uniformly random string.  The noise mask is drawn before
@@ -288,14 +259,10 @@ def draw_shots(target, basis, count, rng, epsilon=0.0) -> Dataset:
     if not 0.0 <= epsilon <= 1.0:
         raise ParameterError("epsilon must lie in [0, 1]")
     n, q = target.n_sites, target.local_dim
-    rows = count
-    if isinstance(basis, MeasurementBasis):
-        if basis.n_sites != n:
-            raise ParameterError("basis length does not match the state")
-        basis, rows = (basis.thetas[None], basis.phis[None]), 1  # one row for every shot
-    thetas, phis = (np.asarray(a, dtype=float) for a in basis)
-    if thetas.shape != (rows, n) or phis.shape != (rows, n):
-        raise ParameterError("per-shot angles must have shape (count, n_sites)")
+    thetas, phis = (np.atleast_2d(np.asarray(a, dtype=float)) for a in basis)
+    if thetas.shape != phis.shape or thetas.shape not in ((count, n), (1, n)):
+        raise ParameterError("basis angles must have shape (count, n_sites) or (n_sites,)")
+    check_angles(thetas, phis)  # before any rotation, so bad angles never reach the sampler
     # a generator, so that only the site being sampled holds its (count, q, q) stack
     unitaries = (rotation_matrices(thetas[:, j], phis[:, j], target.spin) for j in range(n))
     noisy = rng.random(count) < epsilon if epsilon > 0.0 else None

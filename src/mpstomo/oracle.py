@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, PartialReconstructionError, ResourceError
-from .measurement import fixed_bases, sample_basis
+from .measurement import check_angles, fixed_bases, sample_bases
 from .mps import DENSE_LIMIT, outcome_indices
 from .rotations import rotation_matrices
 
@@ -55,11 +55,19 @@ def _check_size(state):
         raise ResourceError("state too large for dense evaluation")
 
 
+def _basis_rotations(state, basis) -> np.ndarray:
+    """The (N, q, q) site rotations of ``basis``, a (thetas, phis) pair of
+    N angles each, (N,) or (1, N)."""
+    thetas, phis = (np.asarray(a, dtype=float).reshape(-1) for a in basis)
+    if thetas.shape != (state.n_sites,) or phis.shape != (state.n_sites,):
+        raise ParameterError("basis length does not match the state")
+    check_angles(thetas, phis)
+    return rotation_matrices(thetas, phis, state.spin)
+
+
 def _rotated_tensor(state, basis) -> np.ndarray:
     """Coefficients in the rotated product basis, as a (q,)*N tensor."""
-    if basis.n_sites != state.n_sites:
-        raise ParameterError("basis length does not match the state")
-    us = rotation_matrices(basis.thetas, basis.phis, state.spin)
+    us = _basis_rotations(state, basis)
     q, n = state.local_dim, state.n_sites
     t = state.coefficients.reshape((q,) * n)
     for j in range(n):
@@ -78,8 +86,10 @@ def dense_probabilities(state, basis) -> np.ndarray:
 def dense_probability(state, basis, outcomes) -> float:
     """Probability of one outcome string (magnetic numbers m) in ``basis``."""
     _check_size(state)
+    us = _basis_rotations(state, basis)
     idx = outcome_indices(outcomes, state.local_dim)
-    us = rotation_matrices(basis.thetas, basis.phis, state.spin)
+    if idx.shape != (state.n_sites,):
+        raise ParameterError("basis length does not match the state")
     t = state.coefficients.reshape((state.local_dim,) * state.n_sites)
     for j in range(state.n_sites):
         t = np.tensordot(us[j, idx[j], :], t, axes=(0, 0))
@@ -99,7 +109,7 @@ def kl_divergence(p_state, q_state, n_basis_samples, rng) -> float:
         raise ParameterError("need at least one sampled basis")
     total = 0.0
     for _ in range(n_basis_samples):
-        basis = sample_basis(p_state.n_sites, rng)
+        basis = sample_bases(1, p_state.n_sites, rng)
         p = dense_probabilities(p_state, basis)
         q = np.maximum(dense_probabilities(q_state, basis), 1e-300)
         mask = p > 0

@@ -28,10 +28,17 @@ def one_shot_dataset(thetas, phis, ms, local_dim=2):
     return ds
 
 
+def all_z(n_sites):
+    """The all-z basis as a (thetas, phis) pair."""
+    return np.zeros(n_sites), np.zeros(n_sites)
+
+
 def shot_probability(mps, basis, ms):
-    """|amp|^2 of outcome string ``ms`` in ``basis``, read off the training
-    NLL of a one-shot dataset (so clamped below at 1e-12)."""
-    ds = one_shot_dataset(basis.thetas, basis.phis, ms, mps.local_dim)
+    """|amp|^2 of outcome string ``ms`` in ``basis``, a (thetas, phis) pair of
+    one row, read off the training NLL of a one-shot dataset (so clamped
+    below at 1e-12)."""
+    thetas, phis = (np.reshape(a, -1) for a in basis)
+    ds = one_shot_dataset(thetas, phis, ms, mps.local_dim)
     return float(np.exp(-nll(mps, ds)))
 
 

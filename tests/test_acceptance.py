@@ -31,7 +31,7 @@ from mpstomo import (
     run_scaling_suite,
     run_tomography,
     run_virtual,
-    sample_basis,
+    sample_bases,
     estimate_fidelity,
 )
 from mpstomo.oracle import DenseState
@@ -65,7 +65,7 @@ def test_criterion_1_oracle_equivalence():
         target = random_target(n, min(3, 2 ** (n // 2)), seed=case)
         dense = DenseState.from_mps(target)
         for _ in range(3):
-            basis = sample_basis(n, rng)
+            basis = sample_bases(1, n, rng)
             shots = draw_shots(target, basis, 200_000, rng)
             codes = (shots.outcome_indices * (2 ** np.arange(n - 1, -1, -1))).sum(axis=1)
             emp = np.bincount(codes, minlength=2**n) / len(shots)
@@ -294,7 +294,7 @@ def test_criterion_10_invariant_suite():
         cb = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         pa = DenseState(ca / np.linalg.norm(ca), 3, 2)
         pb = DenseState(cb / np.linalg.norm(cb), 3, 2)
-        basis = sample_basis(3, rng)
+        basis = sample_bases(1, 3, rng)
         p = dense_probabilities(pa, basis)
         q = dense_probabilities(pb, basis)
         kl = float(np.sum(p * np.log(np.maximum(p, 1e-300) / np.maximum(q, 1e-300))))
@@ -303,7 +303,7 @@ def test_criterion_10_invariant_suite():
 
     # amplitude normalization over a random basis
     m = random_init(5, 2, 3, seed=8)
-    basis = sample_basis(5, rng)
+    basis = sample_bases(1, 5, rng)
     total = sum(
         shot_probability(m, basis, [0.5 - ((v >> (4 - j)) & 1) for j in range(5)])
         for v in range(32)

@@ -1,4 +1,6 @@
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ from mpstomo import (
     DegenerateStateError,
     FormatError,
     MatrixProductState,
-    MeasurementBasis,
     ParameterError,
     TargetSpec,
     build_target,
@@ -20,13 +21,12 @@ from mpstomo import (
     random_init,
     random_target,
     sample_bases,
-    sample_basis,
     w_state,
 )
 from mpstomo.oracle import DenseState, dense_probabilities
 from mpstomo.rotations import rotation_matrices, spin_operators, wigner_d_matrix
 
-from conftest import one_shot_dataset, shot_probability
+from conftest import all_z, one_shot_dataset, shot_probability
 
 
 def outcome_codes(dataset):
@@ -119,10 +119,10 @@ class TestSampleBasis:
         assert abs(np.cos(thetas).mean()) < 0.02
 
     def test_deterministic(self):
-        a = sample_basis(5, np.random.default_rng(3))
-        b = sample_basis(5, np.random.default_rng(3))
-        np.testing.assert_array_equal(a.thetas, b.thetas)
-        np.testing.assert_array_equal(a.phis, b.phis)
+        a = sample_bases(1, 5, np.random.default_rng(3))
+        b = sample_bases(1, 5, np.random.default_rng(3))
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
 
     def test_angle_ranges(self):
         rng = np.random.default_rng(0)
@@ -136,13 +136,13 @@ class TestDrawShot:
         up = np.array([1.0, 0.0]).reshape(1, 2, 1)
         target = MatrixProductState([up] * 4)
         rng = np.random.default_rng(2)
-        ds = draw_shots(target, MeasurementBasis.all_z(4), 500, rng)
+        ds = draw_shots(target, all_z(4), 500, rng)
         assert np.all(ds.outcome_indices == 0)
 
     def test_w2_z_basis_probabilities(self):
         target = w_state(2, 0.0)
         rng = np.random.default_rng(5)
-        ds = draw_shots(target, MeasurementBasis.all_z(2), 100_000, rng)
+        ds = draw_shots(target, all_z(2), 100_000, rng)
         freq = np.bincount(outcome_codes(ds), minlength=4) / len(ds)
         assert freq[0b00] == 0.0 and freq[0b11] == 0.0
         assert abs(freq[0b01] - 0.5) < 0.01
@@ -153,7 +153,7 @@ class TestDrawShot:
         target = random_target(5, 3, seed=8)
         dense = DenseState.from_mps(target)
         for _ in range(3):
-            basis = sample_basis(5, rng)
+            basis = sample_bases(1, 5, rng)
             ds = draw_shots(target, basis, 200_000, rng)
             emp = np.bincount(outcome_codes(ds), minlength=32) / len(ds)
             p = dense_probabilities(dense, basis)
@@ -163,7 +163,7 @@ class TestDrawShot:
         rng = np.random.default_rng(13)
         target = random_target(4, 3, seed=9)
         dense = DenseState.from_mps(target)
-        basis = sample_basis(4, rng)
+        basis = sample_bases(1, 4, rng)
         count = 200_000
         ds = draw_shots(target, basis, count, rng)
         obs = np.bincount(outcome_codes(ds), minlength=16).astype(float)
@@ -182,9 +182,9 @@ class TestDrawShot:
         # a shared basis rotates each site once; the outcomes must equal those
         # of the same basis spelled out per shot, bit for bit
         target = random_target(5, 3, seed=8)
-        basis = sample_basis(5, np.random.default_rng(3))
+        basis = sample_bases(1, 5, np.random.default_rng(3))
         count = 20_000
-        per_shot = [np.tile(a, (count, 1)) for a in (basis.thetas, basis.phis)]
+        per_shot = [np.tile(a, (count, 1)) for a in basis]
         a = draw_shots(target, basis, count, np.random.default_rng(12), epsilon=0.1)
         b = draw_shots(target, per_shot, count, np.random.default_rng(12), epsilon=0.1)
         np.testing.assert_array_equal(a.outcome_indices, b.outcome_indices)
@@ -199,31 +199,42 @@ class TestDrawShot:
             return rotation_matrices(thetas, phis, spin)
 
         monkeypatch.setattr("mpstomo.measurement.rotation_matrices", recording)
-        basis = sample_basis(5, np.random.default_rng(3))
+        basis = sample_bases(1, 5, np.random.default_rng(3))
         draw_shots(random_target(5, 3, seed=8), basis, 1000, np.random.default_rng(12))
         assert shapes == [((1,), (1,))] * 5
 
     @pytest.mark.parametrize(
-        "theta, phi",
-        [(4.0, 7.0), (-0.1, 1.0), (1.0, 2 * np.pi), (1.0, -1.0)],
-        ids=["both-high", "theta-negative", "phi-2pi", "phi-negative"],
+        "theta, phi, shape",
+        [(4.0, 7.0, (4, 3)), (-0.1, 1.0, (4, 3)), (1.0, 2 * np.pi, (4, 3)), (1.0, -1.0, (4, 3)),
+         (np.nan, 1.0, (4, 3)), (1.0, np.nan, (4, 3)),
+         (4.0, 1.0, (3,)), (1.0, 2 * np.pi, (3,)), (np.nan, 1.0, (3,)), (1.0, np.nan, (3,))],
+        ids=["both-high", "theta-negative", "phi-2pi", "phi-negative", "theta-nan", "phi-nan",
+             "shared-theta-high", "shared-phi-2pi", "shared-theta-nan", "shared-phi-nan"],
     )
-    def test_rejects_angles_the_shot_file_rejects(self, theta, phi):
-        angles = (np.full((4, 3), theta), np.full((4, 3), phi))
-        with pytest.raises(ParameterError, match="out of"):
-            draw_shots(w_state(3), angles, 4, np.random.default_rng(0))
+    def test_rejects_angles_the_shot_file_rejects(self, monkeypatch, theta, phi, shape):
+        # refused before any rotation is made, so no NaN reaches the sampler
+        def refused(*args):
+            raise AssertionError("rotation made for angles draw_shots refuses")
+
+        monkeypatch.setattr("mpstomo.measurement.rotation_matrices", refused)
+        angles = (np.full(shape, theta), np.full(shape, phi))
+        message = "theta out of [0, pi]" if not 0 <= theta <= np.pi else "phi out of [0, 2 pi)"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ParameterError, match=re.escape(message)):
+                draw_shots(w_state(3), angles, 4, np.random.default_rng(0))
 
     def test_degenerate_state_error(self):
         t = np.zeros((1, 2, 1), dtype=complex)
         broken = MatrixProductState([t, t.copy()])
         with pytest.raises(DegenerateStateError):
-            draw_shots(broken, MeasurementBasis.all_z(2), 3, np.random.default_rng(0))
+            draw_shots(broken, all_z(2), 3, np.random.default_rng(0))
 
 
 class TestDepolarizingNoise:
     def test_zero_epsilon_identical_stream(self):
         target = w_state(3, 0.1)
-        basis = MeasurementBasis.all_z(3)
+        basis = all_z(3)
         a = draw_shots(target, basis, 50, np.random.default_rng(9))
         b = draw_shots(target, basis, 50, np.random.default_rng(9), epsilon=0.0)
         np.testing.assert_array_equal(a.outcome_indices, b.outcome_indices)
@@ -232,7 +243,7 @@ class TestDepolarizingNoise:
         target = w_state(3, 0.0)
         rng = np.random.default_rng(21)
         count = 80_000
-        ds = draw_shots(target, MeasurementBasis.all_z(3), count, rng, epsilon=1.0)
+        ds = draw_shots(target, all_z(3), count, rng, epsilon=1.0)
         freq = np.bincount(outcome_codes(ds), minlength=8) / count
         sigma = np.sqrt(0.125 * 0.875 / count)
         assert np.all(np.abs(freq - 0.125) < 3.5 * sigma + 1e-12)
@@ -242,14 +253,14 @@ class TestDepolarizingNoise:
         target = MatrixProductState([up, up])
         rng = np.random.default_rng(17)
         count = 100_000
-        ds = draw_shots(target, MeasurementBasis.all_z(2), count, rng, epsilon=0.5)
+        ds = draw_shots(target, all_z(2), count, rng, epsilon=0.5)
         p00 = np.mean(outcome_codes(ds) == 0)
         assert abs(p00 - 0.625) < 0.01
 
     def test_epsilon_validation(self):
         with pytest.raises(ParameterError):
             draw_shots(
-                w_state(2, 0.0), MeasurementBasis.all_z(2), 1, np.random.default_rng(0), epsilon=1.5
+                w_state(2, 0.0), all_z(2), 1, np.random.default_rng(0), epsilon=1.5
             )
 
 
@@ -257,20 +268,20 @@ class TestFixedBases:
     def test_single_site(self):
         bases = fixed_bases(1)
         assert len(bases) == 3
-        np.testing.assert_allclose(bases[0].thetas, [0.0])
-        np.testing.assert_allclose(bases[1].thetas, [np.pi / 2])
-        np.testing.assert_allclose(bases[1].phis, [0.0])
-        np.testing.assert_allclose(bases[2].phis, [np.pi / 2])
+        np.testing.assert_allclose(bases[0][0], [0.0])
+        np.testing.assert_allclose(bases[1][0], [np.pi / 2])
+        np.testing.assert_allclose(bases[1][1], [0.0])
+        np.testing.assert_allclose(bases[2][1], [np.pi / 2])
 
     def test_count_and_sparsity(self):
         bases = fixed_bases(4)
         assert len(bases) == 9
-        for b in bases:
-            assert np.count_nonzero(b.thetas) <= 1
+        for thetas, _ in bases:
+            assert np.count_nonzero(thetas) <= 1
 
     def test_directions_exact(self):
-        for b in fixed_bases(3):
-            for th, ph in zip(b.thetas, b.phis):
+        for thetas, phis in fixed_bases(3):
+            for th, ph in zip(thetas, phis):
                 assert (th, ph) in {(0.0, 0.0), (np.pi / 2, 0.0), (np.pi / 2, np.pi / 2)}
 
 
@@ -280,7 +291,7 @@ class TestDataset:
         target = w_state(4, 0.2)
         ds = Dataset(4, 2)
         for _ in range(5):
-            ds.extend(draw_shots(target, sample_basis(4, rng), 1, rng))
+            ds.extend(draw_shots(target, sample_bases(1, 4, rng), 1, rng))
         assert len(ds) == 5
         path = tmp_path / "shots.txt"
         ds.to_file(path)
@@ -373,7 +384,7 @@ class TestDataset:
     def test_normalization_invariant_over_random_bases(self, rng):
         target = random_init(5, 2, 3, seed=2)
         for _ in range(3):
-            basis = sample_basis(5, rng)
+            basis = sample_bases(1, 5, rng)
             total = 0.0
             for v in range(2**5):
                 ms = [0.5 - ((v >> (4 - j)) & 1) for j in range(5)]

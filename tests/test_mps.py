@@ -10,7 +10,6 @@ import mpstomo
 from mpstomo import (
     FormatError,
     MatrixProductState,
-    MeasurementBasis,
     ParameterError,
     ResourceError,
     StateError,
@@ -107,7 +106,7 @@ class TestAmplitude:
 
     def test_single_qubit_x_rotation(self):
         zero = MatrixProductState([np.array([1.0, 0.0]).reshape(1, 2, 1)])
-        basis = MeasurementBasis(np.array([np.pi / 2]), np.array([0.0]))
+        basis = (np.array([np.pi / 2]), np.array([0.0]))
         for m in (0.5, -0.5):
             assert abs(shot_probability(zero, basis, [m]) - 0.5) < 1e-12
 
@@ -115,7 +114,7 @@ class TestAmplitude:
         m = random_mps(5, 2, 3, rng)
         thetas = rng.uniform(0, np.pi, 5)
         phis = rng.uniform(0, 2 * np.pi, 5)
-        basis = MeasurementBasis(thetas, phis)
+        basis = (thetas, phis)
         total = 0.0
         for v in range(2**5):
             ms = [0.5 - ((v >> (4 - j)) & 1) for j in range(5)]

@@ -3,7 +3,6 @@ import pytest
 
 from mpstomo import (
     DenseState,
-    MeasurementBasis,
     ParameterError,
     PartialReconstructionError,
     dense_probabilities,
@@ -12,11 +11,11 @@ from mpstomo import (
     fixed_basis_reconstruct,
     kl_divergence,
     random_target,
-    sample_basis,
+    sample_bases,
     w_state,
 )
 
-from conftest import shot_probability
+from conftest import all_z, shot_probability
 
 
 def random_dense(n, rng, floor=0.0):
@@ -35,19 +34,19 @@ def plus_state(n):
 class TestDenseProbability:
     def test_certain_outcome(self):
         state = DenseState(np.array([1.0, 0.0], dtype=complex), 1, 2)
-        basis = MeasurementBasis.all_z(1)
+        basis = all_z(1)
         assert abs(dense_probability(state, basis, [0.5]) - 1.0) < 1e-12
         assert dense_probability(state, basis, [-0.5]) == 0.0
 
     def test_x_basis_half(self):
         state = DenseState(np.array([1.0, 0.0], dtype=complex), 1, 2)
-        basis = MeasurementBasis(np.array([np.pi / 2]), np.array([0.0]))
+        basis = (np.array([np.pi / 2]), np.array([0.0]))
         for m in (0.5, -0.5):
             assert abs(dense_probability(state, basis, [m]) - 0.5) < 1e-12
 
     def test_completeness(self, rng):
         state = random_dense(4, rng)
-        basis = sample_basis(4, rng)
+        basis = sample_bases(1, 4, rng)
         p = dense_probabilities(state, basis)
         assert abs(p.sum() - 1.0) < 1e-12
         # spot-check agreement between the table and single evaluations
@@ -59,11 +58,21 @@ class TestDenseProbability:
         for n in (3, 5):
             target = random_target(n, 3, seed=n)
             dense = DenseState.from_mps(target)
-            basis = sample_basis(n, rng)
+            basis = sample_bases(1, n, rng)
             for v in rng.integers(0, 2**n, size=6):
                 ms = [0.5 - ((int(v) >> (n - 1 - j)) & 1) for j in range(n)]
                 p_mps = shot_probability(target, basis, ms)
                 assert abs(dense_probability(dense, basis, ms) - p_mps) < 1e-10
+
+    @pytest.mark.parametrize(
+        "basis_sites, outcomes",
+        [(4, [0.5, -0.5, -0.5]), (2, [0.5, -0.5, -0.5]), (3, [0.5, -0.5])],
+        ids=["basis-4-sites", "basis-2-sites", "2-outcomes"],
+    )
+    def test_rejects_lengths_other_than_n(self, basis_sites, outcomes):
+        state = DenseState.from_mps(w_state(3))
+        with pytest.raises(ParameterError, match="basis length does not match the state"):
+            dense_probability(state, all_z(basis_sites), outcomes)
 
 
 class TestKlDivergence:
@@ -81,7 +90,7 @@ class TestKlDivergence:
         for _ in range(5):
             p_state = random_dense(3, rng)
             q_state = random_dense(3, rng)
-            basis = sample_basis(3, rng)
+            basis = sample_bases(1, 3, rng)
             p = dense_probabilities(p_state, basis)
             q = dense_probabilities(q_state, basis)
             mask = p > 0

@@ -7,7 +7,6 @@ from mpstomo import (
     Dataset,
     LossReport,
     MatrixProductState,
-    MeasurementBasis,
     ParameterError,
     TrainConfig,
     draw_shots,
@@ -21,7 +20,7 @@ from mpstomo import (
 from mpstomo.oracle import DenseState, dense_probability
 from mpstomo.training import BondObjective
 
-from conftest import one_shot_dataset
+from conftest import all_z, one_shot_dataset
 
 
 def product_state(n):
@@ -62,7 +61,7 @@ class TestNll:
         dense = DenseState.from_mps(model)
         expect = 0.0
         for i in range(len(ds)):
-            basis = MeasurementBasis(ds.thetas[i], ds.phis[i])
+            basis = (ds.thetas[i], ds.phis[i])
             expect -= np.log(dense_probability(dense, basis, ds.spin - ds.outcome_indices[i]))
         expect /= len(ds)
         assert abs(nll(model, ds) - expect) < 1e-10
@@ -142,7 +141,7 @@ class TestTwoSiteGradient:
 class TestSweep:
     def test_product_target_converges(self, rng):
         target = product_state(4)
-        ds = draw_shots(target, MeasurementBasis.all_z(4), 300, rng)
+        ds = draw_shots(target, all_z(4), 300, rng)
         model = random_init(4, 2, 2, seed=1)
         cfg = TrainConfig(d_cap=4, sweeps_per_stage=1)
         for i in range(2):
@@ -222,7 +221,7 @@ class TestTrainStage:
 
     def test_exhaustive_product_data_reaches_entropy_floor(self, rng):
         target = product_state(4)
-        ds = draw_shots(target, MeasurementBasis.all_z(4), 500, rng)
+        ds = draw_shots(target, all_z(4), 500, rng)
         model, history = train_stage(
             random_init(4, 2, 2, seed=4), ds, TrainConfig(d_cap=4, lambda0=0.0001)
         )
