@@ -15,7 +15,6 @@ O(N q^2 D^2).
 
 from __future__ import annotations
 
-import re
 from contextlib import closing
 from itertools import islice
 
@@ -26,7 +25,7 @@ from .rotations import rotation_matrices
 
 _MASS_FLOOR = 1e-14
 _BLOCK = 512  # shots per write, lines per read of a shot file
-_SITE = r"[^;,]*,[^;,]*,[^;,]*"  # one "theta,phi,2m" site field
+_SHOT_BLOCK = 2048  # shots sampled at a time
 
 
 def check_angles(thetas, phis) -> None:
@@ -99,7 +98,7 @@ class Dataset:
 
     @classmethod
     def from_file(cls, path, local_dim) -> "Dataset":
-        blocks, numbers, shape, first = [], [], None, 1
+        size, parts, filled, first = _line_count(path), None, 0, 1
         with closing(utf8_lines(path)) as lines:
             while True:
                 raw, not_utf8 = [], None
@@ -113,15 +112,21 @@ class Dataset:
                 if not all(rows):
                     line_no = line_no[[bool(row) for row in rows]]
                     rows = list(filter(None, rows))
-                if rows and shape is None:  # the first shot sets the site count
+                if rows and parts is None:  # the first shot sets the site count
                     n_sites = rows[0].count(";") + 1
-                    shape = re.compile(f"{_SITE}(?:;{_SITE}){{{n_sites - 1}}}")
-                bad = len(rows)
-                if rows and not all(map(shape.fullmatch, rows)):
-                    bad = next(i for i, row in enumerate(rows) if not shape.fullmatch(row))
+                    parts = [np.empty((size, n_sites)), np.empty((size, n_sites)),
+                             np.empty((size, n_sites), dtype=np.int64)]
+                    line_numbers = np.empty(size, dtype=np.int64)
+                bad = _misshapen_row(rows, n_sites) if rows else 0
                 if bad:
-                    blocks.append(_parse_block(path, rows[:bad], line_no[:bad]))
-                    numbers.append(line_no[:bad])
+                    block = _parse_block(path, rows[:bad], line_no[:bad])
+                    if block[2].dtype == object:  # a 2m beyond int64, judged on exact ints
+                        parts[2] = parts[2].astype(object, copy=False)
+                    new = slice(filled, filled + bad)
+                    for part, values in zip(parts, block):
+                        part[new] = values
+                    line_numbers[new] = line_no[:bad]
+                    filled += bad
                 if bad < len(rows):
                     ln, sites = line_no[bad], len(_parse_shot(path, line_no[bad], rows[bad])[2])
                     raise FormatError(f"{path}: line {ln}: {sites} sites, expected {n_sites}")
@@ -129,12 +134,12 @@ class Dataset:
                     raise not_utf8
                 if len(raw) < _BLOCK:
                     break
-        if not blocks:
+        if not filled:
             raise FormatError(f"{path}: no shots")
-        thetas, phis, twice_m = (np.concatenate(part) for part in zip(*blocks))
-        del blocks  # the joined arrays are the one copy kept
-        line_numbers = np.concatenate(numbers)
-        offset = (local_dim - 1) - twice_m  # 2 p, even for a valid 2m
+        if filled < size:  # blank lines left rows unused
+            parts = [part[:filled].copy() for part in parts]
+        thetas, phis, offset = parts
+        np.subtract(local_dim - 1, offset, out=offset)  # 2 p, even for a valid 2m
 
         def require(ok, what):
             bad = np.flatnonzero(~ok.all(axis=1))
@@ -148,8 +153,41 @@ class Dataset:
         require((offset >= 0) & (offset <= 2 * (local_dim - 1)),
                 f"outcome out of range for q={local_dim}")
         ds = cls(thetas.shape[1], local_dim)  # takes the checked arrays as they are
-        ds.thetas, ds.phis, ds.outcome_indices = thetas, phis, offset // 2
+        ds.thetas, ds.phis = thetas, phis
+        ds.outcome_indices = np.floor_divide(offset, 2, out=offset)
         return ds
+
+
+def _line_count(path) -> int:
+    """The number of lines ``utf8_lines`` yields for ``path``, counted in one
+    binary pass: a line ends at LF, CR or CR LF, and a last line may end at
+    neither."""
+    count, last = 0, b"\n"
+    with open(path, "rb") as f:
+        for chunk in iter(lambda: f.read(1 << 20), b""):
+            cr = chunk.count(b"\r")
+            count += chunk.count(b"\n") + cr - (cr and chunk.count(b"\r\n"))
+            count -= last == b"\r" and chunk[:1] == b"\n"
+            last = chunk[-1:]
+    return count + (last not in b"\r\n")
+
+
+def _misshapen_row(rows, n_sites) -> int:
+    """Index of the first of the stripped shot lines ``rows`` whose separators
+    are not those of ``n_sites`` "theta,phi,2m" fields joined by semicolons,
+    or len(rows).  Rows hold no line end, so each ends at the newline that
+    follows it in the joined text."""
+    text = np.frombuffer(("\n".join(rows) + "\n").encode(), dtype=np.uint8)
+    seps = text[(text == ord(",")) | (text == ord(";")) | (text == ord("\n"))]
+    pattern = np.frombuffer((",,;" * n_sites)[:-1].encode() + b"\n", dtype=np.uint8)
+    lengths = np.diff(np.flatnonzero(seps == ord("\n")), prepend=-1)
+    # up to the first row with a wrong separator count, row k's separators
+    # sit at k * len(pattern)
+    miscounted = np.flatnonzero(lengths != len(pattern))
+    whole = miscounted[0] if miscounted.size else len(rows)
+    wrong = np.flatnonzero(
+        (seps[: whole * len(pattern)].reshape(whole, len(pattern)) != pattern).any(axis=1))
+    return int(wrong[0]) if wrong.size else int(whole)
 
 
 def _parse_shot(path, ln, line):
@@ -219,29 +257,34 @@ def fixed_bases(n_sites) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def _sample_outcome_indices(target, unitaries, count, rng) -> np.ndarray:
-    """Outcome indices of ``count`` shots; ``unitaries`` yields each site's
-    rotations, (count, q, q) or one (1, q, q) for every shot, in site order."""
+    """Outcome indices of ``count`` shots, sampled ``_SHOT_BLOCK`` shots at a
+    time through every site; ``unitaries(j, shots)`` returns site j's
+    rotations for the slice ``shots``, one (q, q) per shot or one (1, q, q)
+    for every shot.  The uniforms are drawn first, one row per site, the
+    stream of one ``rng.random(count)`` per site."""
     mps = target.canonicalize(0)
+    tensors = [a.reshape(a.shape[0], -1) for a in map(mps.tensor, range(mps.n_sites))]
+    uniforms = rng.random((mps.n_sites, count))
     out = np.empty((count, mps.n_sites), dtype=np.int64)
-    left = np.ones((count, 1), dtype=np.complex128)
-    rows = np.arange(count)
-    for j, u in enumerate(unitaries):
-        a = mps.tensor(j)
-        d1, q, d2 = a.shape
-        t = (left @ a.reshape(d1, q * d2)).reshape(count, q, d2)
-        cand = np.einsum("smv,svj->smj", u, t)  # (count, q, D2)
-        w = (cand.real**2 + cand.imag**2).sum(axis=2)
-        total = w.sum(axis=1)
-        if np.any(total < _MASS_FLOOR):
-            raise DegenerateStateError(
-                "conditional outcome mass vanished during sampling"
-            )
-        cum = np.cumsum(w, axis=1)
-        r = rng.random(count) * total
-        choice = (cum > r[:, None]).argmax(axis=1)
-        out[:, j] = choice
-        left = cand[rows, choice, :]
-        left /= np.linalg.norm(left, axis=1, keepdims=True)
+    for start in range(0, count, _SHOT_BLOCK):
+        shots = slice(start, min(start + _SHOT_BLOCK, count))
+        rows = np.arange(shots.stop - start)
+        left = np.ones((len(rows), 1), dtype=np.complex128)
+        for j, a in enumerate(tensors):
+            t = (left @ a).reshape(len(rows), target.local_dim, -1)
+            cand = np.einsum("smv,svj->smj", unitaries(j, shots), t)  # (shots, q, D2)
+            w = (cand.real**2 + cand.imag**2).sum(axis=2)
+            total = w.sum(axis=1)
+            if np.any(total < _MASS_FLOOR):
+                raise DegenerateStateError(
+                    "conditional outcome mass vanished during sampling"
+                )
+            cum = np.cumsum(w, axis=1)
+            r = uniforms[j, shots] * total
+            choice = (cum > r[:, None]).argmax(axis=1)
+            out[shots, j] = choice
+            left = cand[rows, choice, :]
+            left /= np.linalg.norm(left, axis=1, keepdims=True)
     return out
 
 
@@ -263,8 +306,16 @@ def draw_shots(target, basis, count, rng, epsilon=0.0) -> Dataset:
     if thetas.shape != phis.shape or thetas.shape not in ((count, n), (1, n)):
         raise ParameterError("basis angles must have shape (count, n_sites) or (n_sites,)")
     check_angles(thetas, phis)  # before any rotation, so bad angles never reach the sampler
-    # a generator, so that only the site being sampled holds its (count, q, q) stack
-    unitaries = (rotation_matrices(thetas[:, j], phis[:, j], target.spin) for j in range(n))
+    # a shared basis costs one rotation per site for the whole draw, per-shot
+    # angles one per site and block
+    shared = [rotation_matrices(thetas[:, j], phis[:, j], target.spin)
+              for j in range(n)] if len(thetas) == 1 else None
+
+    def unitaries(j, shots):
+        if shared is not None:
+            return shared[j]
+        return rotation_matrices(thetas[shots, j], phis[shots, j], target.spin)
+
     noisy = rng.random(count) < epsilon if epsilon > 0.0 else None
     idx = _sample_outcome_indices(target, unitaries, count, rng)
     if noisy is not None and noisy.any():

@@ -283,13 +283,16 @@ def _long_shot_file(w4_run, count=6000):
         (lambda line: _set_field(line, 2, 2, "1.0"), "invalid literal for int() with base 10: '1.0'"),
         (lambda line: line.rsplit(";", 1)[0], "3 sites, expected 4"),
         (lambda line: line + ",7", "every site field must be theta,phi,2m"),
+        (lambda line: line.replace(";", ",", 1).replace(",", ";", 1),
+         "every site field must be theta,phi,2m"),
         (lambda line: _set_field(line, 0, 0, "nan"), "non-finite angle"),
         (lambda line: _set_field(line, 3, 1, "7"), r"phi out of [0, 2 pi)"),
         (lambda line: _set_field(line, 0, 2, "0"), "2m must have the parity of q - 1 = 1"),
         (lambda line: _set_field(line, 0, 2, "3"), "outcome out of range for q=2"),
         (lambda line: _set_field(line, 0, 2, "99999999999999999999"), "outcome out of range for q=2"),
     ],
-    ids=["valid", "float", "int", "sites", "fields", "nan", "phi", "parity", "range", "huge-int"],
+    ids=["valid", "float", "int", "sites", "fields", "order", "nan", "phi", "parity", "range",
+         "huge-int"],
 )
 def test_bad_line_past_the_first_block(w4_run, tmp_path, edit, message):
     lines = _long_shot_file(w4_run)

@@ -1,6 +1,11 @@
+import hashlib
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +28,8 @@ from mpstomo import (
     sample_bases,
     w_state,
 )
+from mpstomo import measurement
+from mpstomo.mps import _gaussian_chain
 from mpstomo.oracle import DenseState, dense_probabilities
 from mpstomo.rotations import rotation_matrices, spin_operators, wigner_d_matrix
 
@@ -200,7 +207,8 @@ class TestDrawShot:
 
         monkeypatch.setattr("mpstomo.measurement.rotation_matrices", recording)
         basis = sample_bases(1, 5, np.random.default_rng(3))
-        draw_shots(random_target(5, 3, seed=8), basis, 1000, np.random.default_rng(12))
+        count = 2 * measurement._SHOT_BLOCK + 1  # three blocks of shots
+        draw_shots(random_target(5, 3, seed=8), basis, count, np.random.default_rng(12))
         assert shapes == [((1,), (1,))] * 5
 
     @pytest.mark.parametrize(
@@ -229,6 +237,74 @@ class TestDrawShot:
         broken = MatrixProductState([t, t.copy()])
         with pytest.raises(DegenerateStateError):
             draw_shots(broken, all_z(2), 3, np.random.default_rng(0))
+
+
+def _reference_draw_outcomes(target, basis, count, rng, epsilon):
+    """The outcome indices of ``draw_shots`` from an unblocked sampler: each
+    site's rotations and environments for every shot at once, and one
+    ``rng.random(count)`` per site."""
+    thetas, phis = (np.atleast_2d(a) for a in basis)
+    noisy = rng.random(count) < epsilon if epsilon > 0.0 else None
+    mps = target.canonicalize(0)
+    out = np.empty((count, mps.n_sites), dtype=np.int64)
+    left = np.ones((count, 1), dtype=np.complex128)
+    rows = np.arange(count)
+    for j in range(mps.n_sites):
+        u = rotation_matrices(thetas[:, j], phis[:, j], target.spin)
+        a = mps.tensor(j)
+        d1, q, d2 = a.shape
+        t = (left @ a.reshape(d1, q * d2)).reshape(count, q, d2)
+        cand = np.einsum("smv,svj->smj", u, t)
+        w = (cand.real**2 + cand.imag**2).sum(axis=2)
+        cum = np.cumsum(w, axis=1)
+        r = rng.random(count) * w.sum(axis=1)
+        choice = (cum > r[:, None]).argmax(axis=1)
+        out[:, j] = choice
+        left = cand[rows, choice, :]
+        left /= np.linalg.norm(left, axis=1, keepdims=True)
+    if noisy is not None and noisy.any():
+        out[noisy] = rng.integers(0, target.local_dim, size=(int(noisy.sum()), mps.n_sites))
+    return out
+
+
+_B = measurement._SHOT_BLOCK
+
+
+@pytest.mark.parametrize("count", [1, _B - 1, _B, _B + 1, 2 * _B + 1])
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-shot"])
+@pytest.mark.parametrize("local_dim", [2, 3])
+@pytest.mark.parametrize("epsilon", [0.0, 0.1])
+def test_blocked_sampler_matches_unblocked(count, shared, local_dim, epsilon):
+    # the same outcomes bit for bit, and the stream left where it was
+    target = _gaussian_chain(5, local_dim, 3, seed=local_dim)
+    basis = sample_bases(1 if shared else count, 5, np.random.default_rng(count))
+    a, b = np.random.default_rng(7), np.random.default_rng(7)
+    got = draw_shots(target, basis, count, a, epsilon).outcome_indices
+    np.testing.assert_array_equal(got, _reference_draw_outcomes(target, basis, count, b, epsilon))
+    assert a.random() == b.random()
+
+
+def _shots_io_outcome_hash():
+    target = build_target(TargetSpec("Random", 16, d_max=8, seed=1))
+    ds = measure_batch(target, 20_000, 0.02, np.random.default_rng(1))
+    return hashlib.sha256(ds.outcome_indices.tobytes()).hexdigest()
+
+
+def test_sampling_holds_with_one_blas_thread():
+    # a worker process has one BLAS thread, its caller as many as it
+    # inherited; at the shots_io size the environment products are large
+    # enough for OpenBLAS to split them over threads, and the shots must
+    # not depend on it
+    env = dict(
+        os.environ,
+        OPENBLAS_NUM_THREADS="1",
+        PYTHONPATH=os.pathsep.join([str(Path(measurement.__file__).parents[1]), str(Path(__file__).parent)]),
+    )
+    code = "import test_measurement; print(test_measurement._shots_io_outcome_hash())"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    assert done.stdout.split()[-1] == _shots_io_outcome_hash()
 
 
 class TestDepolarizingNoise:
@@ -406,9 +482,11 @@ def _peak_mb(fn, *args):
 
 class TestMemory:
     # 2 x 10^4 noisy shots of a Random N=16, D=8 target, the size of the
-    # shots_io benchmark: 7.7 MB of shot arrays.  Sampling and reading peak
-    # at 28.2 and 15.6 MB; holding every site's rotations, or a second copy
-    # of the shot arrays, at once would take them to 52.5 and 28.6 MB.
+    # shots_io benchmark: 7.7 MB of shot arrays.  Sampling a block of shots
+    # at a time and reading into one buffer peak at 15.4 and 10.8 MB;
+    # sampling every shot at once took 28.2 MB, and holding every site's
+    # rotations too 52.5 MB; reading a list of blocks and joining them took
+    # 15.6 MB, and a second copy of the shot arrays 28.6 MB.
 
     @pytest.fixture(scope="class")
     def target(self):
@@ -417,7 +495,7 @@ class TestMemory:
     def test_sampling_holds_one_site_of_rotations(self, target):
         ds, peak = _peak_mb(measure_batch, target, 20_000, 0.02, np.random.default_rng(1))
         assert len(ds) == 20_000
-        assert peak < 34.0
+        assert peak < 19.0
 
     def test_reading_keeps_one_copy_of_the_shots(self, target, tmp_path):
         ds = measure_batch(target, 20_000, 0.02, np.random.default_rng(1))
@@ -425,4 +503,14 @@ class TestMemory:
         ds.to_file(path)
         back, peak = _peak_mb(Dataset.from_file, path, 2)
         assert back.outcome_indices.tobytes() == ds.outcome_indices.tobytes()
-        assert peak < 19.0
+        assert peak < 16.0
+
+    def test_large_shared_draw_holds_a_block_of_shots(self):
+        # 2 x 10^5 shots in one basis, as criterion 1 draws them: 24 MB of
+        # shot arrays, and 32 MB at the peak; sampling every shot at once
+        # took 88 MB
+        target = random_target(5, 3, seed=8)
+        basis = sample_bases(1, 5, np.random.default_rng(3))
+        ds, peak = _peak_mb(draw_shots, target, basis, 200_000, np.random.default_rng(12))
+        outputs = sum(a.nbytes for a in (ds.thetas, ds.phis, ds.outcome_indices)) / 1e6
+        assert peak < outputs + 12.0
