@@ -15,6 +15,8 @@ O(N q^2 D^2).
 
 from __future__ import annotations
 
+import os
+import re
 from contextlib import closing
 from itertools import islice
 
@@ -26,6 +28,7 @@ from .rotations import rotation_matrices
 _MASS_FLOOR = 1e-14
 _BLOCK = 512  # shots per write, lines per read of a shot file
 _SHOT_BLOCK = 2048  # shots sampled at a time
+_SITE = r"[^;,]*,[^;,]*,[^;,]*"  # one "theta,phi,2m" site field
 
 
 def check_angles(thetas, phis) -> None:
@@ -98,7 +101,7 @@ class Dataset:
 
     @classmethod
     def from_file(cls, path, local_dim) -> "Dataset":
-        size, parts, filled, first = _line_count(path), None, 0, 1
+        parts, shape, filled, first = None, None, 0, 1
         with closing(utf8_lines(path)) as lines:
             while True:
                 raw, not_utf8 = [], None
@@ -112,14 +115,19 @@ class Dataset:
                 if not all(rows):
                     line_no = line_no[[bool(row) for row in rows]]
                     rows = list(filter(None, rows))
-                if rows and parts is None:  # the first shot sets the site count
+                if rows and shape is None:  # the first shot sets the site count
                     n_sites = rows[0].count(";") + 1
-                    parts = [np.empty((size, n_sites)), np.empty((size, n_sites)),
-                             np.empty((size, n_sites), dtype=np.int64)]
-                    line_numbers = np.empty(size, dtype=np.int64)
-                bad = _misshapen_row(rows, n_sites) if rows else 0
+                    shape = re.compile(f"{_SITE}(?:;{_SITE}){{{n_sites - 1}}}")
+                bad = len(rows)
+                if rows and not all(map(shape.fullmatch, rows)):
+                    bad = next(i for i, row in enumerate(rows) if not shape.fullmatch(row))
                 if bad:
                     block = _parse_block(path, rows[:bad], line_no[:bad])
+                    if parts is None:  # sized by a shot that parsed, of 6 N - 1 bytes or more
+                        size = min(_line_count(path), os.path.getsize(path) // (6 * n_sites - 1))
+                        parts = [np.empty((size, n_sites)), np.empty((size, n_sites)),
+                                 np.empty((size, n_sites), dtype=np.int64)]
+                        line_numbers = np.empty(size, dtype=np.int64)
                     if block[2].dtype == object:  # a 2m beyond int64, judged on exact ints
                         parts[2] = parts[2].astype(object, copy=False)
                     new = slice(filled, filled + bad)
@@ -170,24 +178,6 @@ def _line_count(path) -> int:
             count -= last == b"\r" and chunk[:1] == b"\n"
             last = chunk[-1:]
     return count + (last not in b"\r\n")
-
-
-def _misshapen_row(rows, n_sites) -> int:
-    """Index of the first of the stripped shot lines ``rows`` whose separators
-    are not those of ``n_sites`` "theta,phi,2m" fields joined by semicolons,
-    or len(rows).  Rows hold no line end, so each ends at the newline that
-    follows it in the joined text."""
-    text = np.frombuffer(("\n".join(rows) + "\n").encode(), dtype=np.uint8)
-    seps = text[(text == ord(",")) | (text == ord(";")) | (text == ord("\n"))]
-    pattern = np.frombuffer((",,;" * n_sites)[:-1].encode() + b"\n", dtype=np.uint8)
-    lengths = np.diff(np.flatnonzero(seps == ord("\n")), prepend=-1)
-    # up to the first row with a wrong separator count, row k's separators
-    # sit at k * len(pattern)
-    miscounted = np.flatnonzero(lengths != len(pattern))
-    whole = miscounted[0] if miscounted.size else len(rows)
-    wrong = np.flatnonzero(
-        (seps[: whole * len(pattern)].reshape(whole, len(pattern)) != pattern).any(axis=1))
-    return int(wrong[0]) if wrong.size else int(whole)
 
 
 def _parse_shot(path, ln, line):
@@ -306,15 +296,10 @@ def draw_shots(target, basis, count, rng, epsilon=0.0) -> Dataset:
     if thetas.shape != phis.shape or thetas.shape not in ((count, n), (1, n)):
         raise ParameterError("basis angles must have shape (count, n_sites) or (n_sites,)")
     check_angles(thetas, phis)  # before any rotation, so bad angles never reach the sampler
-    # a shared basis costs one rotation per site for the whole draw, per-shot
-    # angles one per site and block
-    shared = [rotation_matrices(thetas[:, j], phis[:, j], target.spin)
-              for j in range(n)] if len(thetas) == 1 else None
-
+    # one rotation per site and block; a shared basis rotates its one row
     def unitaries(j, shots):
-        if shared is not None:
-            return shared[j]
-        return rotation_matrices(thetas[shots, j], phis[shots, j], target.spin)
+        rows = shots if len(thetas) > 1 else slice(None)
+        return rotation_matrices(thetas[rows, j], phis[rows, j], target.spin)
 
     noisy = rng.random(count) < epsilon if epsilon > 0.0 else None
     idx = _sample_outcome_indices(target, unitaries, count, rng)

@@ -207,8 +207,7 @@ class TestDrawShot:
 
         monkeypatch.setattr("mpstomo.measurement.rotation_matrices", recording)
         basis = sample_bases(1, 5, np.random.default_rng(3))
-        count = 2 * measurement._SHOT_BLOCK + 1  # three blocks of shots
-        draw_shots(random_target(5, 3, seed=8), basis, count, np.random.default_rng(12))
+        draw_shots(random_target(5, 3, seed=8), basis, 1000, np.random.default_rng(12))
         assert shapes == [((1,), (1,))] * 5
 
     @pytest.mark.parametrize(
