@@ -22,7 +22,6 @@ from .estimation import (
     PowerLawFit,
     StageRecord,
     estimate_fidelity,
-    extrapolate_replicas,
     fit_power_law,
     per_site_fidelity,
     r_succ,
@@ -35,22 +34,8 @@ from .measurement import (
     measure_batch,
     sample_bases,
 )
-from .mps import (
-    MatrixProductState,
-    load_mps,
-    max_canonical_defect,
-    random_init,
-    split_two_site,
-)
-from .oracle import (
-    DenseState,
-    dense_probabilities,
-    dense_probability,
-    fixed_basis_probabilities,
-    fixed_basis_reconstruct,
-    kl_divergence,
-)
-from .rotations import rotation_matrices, wigner_d_matrix
+from .mps import MatrixProductState, load_mps, random_init
+from .rotations import rotation_matrices
 from .runner import (
     replicas_to_threshold,
     report,
@@ -58,6 +43,6 @@ from .runner import (
     run_tomography,
 )
 from .states import TargetSpec, build_target, cluster_state, dimer_state, random_target, w_state
-from .training import BondObjective, LossReport, nll, train_stage
+from .training import LossReport, nll, train_stage
 
 __version__ = "0.1.0"

@@ -152,6 +152,8 @@ class ExperimentConfig:
         if self.c_estimate is not None and self.c_estimate <= 0:
             raise ParameterError("c_estimate must be positive when given")
         self.train.validate()
+        if self.max_replicas < 1:
+            raise ParameterError("no stages: max_replicas must be >= 1")
 
 
 _BOOL = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}

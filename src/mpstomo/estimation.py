@@ -135,17 +135,6 @@ def estimate_fidelity(coeff, r_succ_now) -> tuple[float, float]:
     return r_est, math.sqrt(1.0 - 2.0 * x)
 
 
-def extrapolate_replicas(fit, target_r) -> int:
-    """Replica count projected to reach distance ``target_r`` under ``fit``."""
-    if fit.alpha >= 0:
-        raise ParameterError("fit with non-negative exponent cannot be extrapolated")
-    if target_r <= 0:
-        raise ParameterError("target distance must be positive")
-    if target_r >= fit.coeff:
-        return 1
-    return int(math.ceil((target_r / fit.coeff) ** (1.0 / fit.alpha)))
-
-
 def tail_ratio(history, tail_fraction=0.5, min_replicas=TAIL_MIN_REPLICAS) -> float:
     """Tail average of r_real^2 / r_succ over a fully monitored history."""
     idx = [

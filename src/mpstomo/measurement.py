@@ -54,6 +54,14 @@ class Dataset:
         self.phis = np.zeros((0, self.n_sites))
         self.outcome_indices = np.zeros((0, self.n_sites), dtype=np.int64)
 
+    @classmethod
+    def _adopt(cls, thetas, phis, idx, local_dim) -> "Dataset":
+        """A dataset that takes checked (count, N) shot arrays as they are;
+        the caller hands them over and keeps no other reference."""
+        ds = cls(thetas.shape[1], local_dim)
+        ds.thetas, ds.phis, ds.outcome_indices = thetas, phis, idx
+        return ds
+
     @property
     def spin(self) -> float:
         return (self.local_dim - 1) / 2.0
@@ -160,10 +168,7 @@ class Dataset:
         require(offset % 2 == 0, f"2m must have the parity of q - 1 = {local_dim - 1}")
         require((offset >= 0) & (offset <= 2 * (local_dim - 1)),
                 f"outcome out of range for q={local_dim}")
-        ds = cls(thetas.shape[1], local_dim)  # takes the checked arrays as they are
-        ds.thetas, ds.phis = thetas, phis
-        ds.outcome_indices = np.floor_divide(offset, 2, out=offset)
-        return ds
+        return cls._adopt(thetas, phis, np.floor_divide(offset, 2, out=offset), local_dim)
 
 
 def _line_count(path) -> int:
@@ -305,9 +310,9 @@ def draw_shots(target, basis, count, rng, epsilon=0.0) -> Dataset:
     idx = _sample_outcome_indices(target, unitaries, count, rng)
     if noisy is not None and noisy.any():
         idx[noisy] = rng.integers(0, q, size=(int(noisy.sum()), n))
-    ds = Dataset(n, q)
-    ds.extend_raw(*np.broadcast_arrays(thetas, phis, idx))
-    return ds
+    # C-ordered copies: a shared row is broadcast, a caller's array is not kept
+    thetas, phis = (np.array(np.broadcast_to(a, idx.shape), order="C") for a in (thetas, phis))
+    return Dataset._adopt(thetas, phis, idx, q)
 
 
 def measure_batch(target, count, epsilon, rng) -> Dataset:

@@ -2,9 +2,9 @@
 
 Everything here enumerates the full Hilbert space, so it is only usable at
 desk scale; it exists to validate the MPS pipeline (exact outcome
-probabilities, KL divergence between outcome distributions) and to realize
-the fixed-basis reconstruction that certifies informational completeness
-of the 2N+1 local bases.
+probabilities) and to realize the fixed-basis reconstruction that
+certifies informational completeness of the 2N+1 local bases.  The
+package does not import it; use ``mpstomo.oracle``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, PartialReconstructionError, ResourceError
-from .measurement import check_angles, fixed_bases, sample_bases
+from .measurement import check_angles, fixed_bases
 from .mps import DENSE_LIMIT, outcome_indices
 from .rotations import rotation_matrices
 
@@ -94,27 +94,6 @@ def dense_probability(state, basis, outcomes) -> float:
     for j in range(state.n_sites):
         t = np.tensordot(us[j, idx[j], :], t, axes=(0, 0))
     return float(abs(t) ** 2)
-
-
-def kl_divergence(p_state, q_state, n_basis_samples, rng) -> float:
-    """Monte-Carlo KL divergence between outcome distributions.
-
-    Bases are sampled uniformly; per basis the sum over outcomes is exact.
-    The q-side probabilities are clamped at 1e-300 before dividing.
-    """
-    _check_size(p_state)
-    if p_state.n_sites != q_state.n_sites or p_state.local_dim != q_state.local_dim:
-        raise ParameterError("states differ in shape")
-    if n_basis_samples < 1:
-        raise ParameterError("need at least one sampled basis")
-    total = 0.0
-    for _ in range(n_basis_samples):
-        basis = sample_bases(1, p_state.n_sites, rng)
-        p = dense_probabilities(p_state, basis)
-        q = np.maximum(dense_probabilities(q_state, basis), 1e-300)
-        mask = p > 0
-        total += float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
-    return total / n_basis_samples
 
 
 # -- fixed-basis reconstruction -------------------------------------------------

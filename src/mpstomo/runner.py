@@ -75,8 +75,6 @@ def run_tomography(config: ExperimentConfig):
     before any artifact is written.
     """
     config.validate()
-    if config.max_replicas < 1:
-        raise ParameterError("no stages: max_replicas must be >= 1")
     target = resolve_target(config.target)
     n, q = target.n_sites, target.local_dim
     shot_rng = np.random.default_rng([config.seed, 0x5E1EC7])
@@ -200,6 +198,8 @@ def read_history(path) -> list[StageRecord]:
             if typ is float and not math.isfinite(values[name]):
                 raise FormatError(f"{path}: line {ln}: {name} is not finite ({raw!r})")
         history.append(StageRecord(**values))
+    if not history:
+        raise FormatError(f"{path}: no stages")
     return history
 
 
@@ -286,6 +286,8 @@ def run_scaling_suite(kind, grid, config, n_seeds=8, out_path=None) -> SuiteResu
         for gi, value in enumerate(grid)
         for s in range(n_seeds)
     ]
+    for c in configs:
+        c.validate()
     if out_path is not None:
         Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     demand = map_runs(_suite_run, configs)
@@ -347,8 +349,6 @@ def report(run_dirs, out_dir) -> dict[str, Path]:
     dirs = [Path(d) for d in run_dirs]
     if not dirs:
         raise ParameterError("no run directories given")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     summary_rows = []
     fig2, fig3, fig4, fig5 = [], [], [], []
     for d in dirs:
@@ -416,6 +416,8 @@ def report(run_dirs, out_dir) -> dict[str, Path]:
         ),
         "fig5_noise.csv": (["kind", "n", "epsilon", "replicas"], fig5),
     }
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     for name, (header, rows) in tables.items():
         _write_csv(out / name, header, rows)
     return {name: out / name for name in tables}

@@ -18,12 +18,8 @@ from mpstomo import (
     PartialReconstructionError,
     TargetSpec,
     TrainConfig,
-    dense_probabilities,
     draw_shots,
-    fixed_basis_probabilities,
-    fixed_basis_reconstruct,
     fit_power_law,
-    max_canonical_defect,
     measure_batch,
     random_init,
     random_target,
@@ -34,7 +30,13 @@ from mpstomo import (
     sample_bases,
     estimate_fidelity,
 )
-from mpstomo.oracle import DenseState
+from mpstomo.mps import max_canonical_defect, split_two_site
+from mpstomo.oracle import (
+    DenseState,
+    dense_probabilities,
+    fixed_basis_probabilities,
+    fixed_basis_reconstruct,
+)
 from mpstomo.parallel import map_runs
 from mpstomo.rotations import rotation_matrices, wigner_d_matrix
 from mpstomo.training import BondObjective
@@ -272,8 +274,6 @@ def test_criterion_10_invariant_suite():
         assert np.max(np.abs(d1 @ d2 - wigner_d_matrix(s, -1.2))) < 1e-10
 
     # merge/split exact roundtrip and entropy bounds
-    from mpstomo import split_two_site
-
     m = random_target(6, 4, seed=3).canonicalize(2)
     before = m.to_dense()
     merged = m.merge_adjacent(2)

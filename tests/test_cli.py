@@ -197,6 +197,19 @@ class TestReportCommand:
         err = capsys.readouterr().err
         assert str(run_cfg) in err and repr(key) in err
 
+    def test_header_only_history_exit_code(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "exp.cfg", BASE_CFG)
+        run = tmp_path / "r"
+        assert main(["tomo", "--config", cfg, "--seed", "4", "--out", str(run)]) == 0
+        history = run / "history.csv"
+        history.write_text(history.read_text().splitlines()[0] + "\n")
+        capsys.readouterr()
+        assert main(["report", "--runs", str(run), "--out", str(tmp_path / "rep")]) == 2
+        assert f"{history}: no stages" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
+        assert main(["fit", "--history", str(history)]) == 2
+        assert f"{history}: no stages" in capsys.readouterr().err
+
     def test_report_empty_dir(self, tmp_path):
         (tmp_path / "empty").mkdir()
         rc = main(["report", "--runs", str(tmp_path / "empty"), "--out", str(tmp_path / "rep")])
@@ -214,14 +227,27 @@ class TestSuiteCommand:
         assert (tmp_path / "suite" / "suite_size.csv").exists()
 
     @pytest.mark.parametrize(
-        "grid, seeds", [("a", "1"), ("4,x", "1"), ("4", "0"), (",", "1"), ("1", "1")],
-        ids=["grid-a", "grid-4x", "seeds-0", "grid-empty", "grid-1-site"],
+        "grid, seeds, sets",
+        [
+            ("a", "1", []),
+            ("4,x", "1", []),
+            ("4", "0", []),
+            (",", "1", []),
+            ("1", "1", []),
+            ("4", "1", ["fidelity_threshold=2"]),
+            ("4", "1", ["max_replicas=0"]),
+        ],
+        ids=[
+            "grid-a", "grid-4x", "seeds-0", "grid-empty", "grid-1-site",
+            "threshold-2", "max-replicas-0",
+        ],
     )
-    def test_bad_grid_or_seeds_exit_code(self, tmp_path, capsys, grid, seeds):
+    def test_bad_grid_or_seeds_exit_code(self, tmp_path, capsys, grid, seeds, sets):
         cfg = write_cfg(tmp_path / "exp.cfg", BASE_CFG)
         rc = main([
             "suite", "--kind", "size", "--grid", grid, "--seeds", seeds,
             "--config", cfg, "--seed", "5", "--out", str(tmp_path / "suite"),
+            *(arg for kv in sets for arg in ("--set", kv)),
         ])
         assert rc == 2
         assert not (tmp_path / "suite").exists()

@@ -6,7 +6,6 @@ from mpstomo import (
     ParameterError,
     StageRecord,
     estimate_fidelity,
-    extrapolate_replicas,
     fit_power_law,
     per_site_fidelity,
     r_succ,
@@ -120,31 +119,6 @@ class TestEstimateFidelity:
             estimate_fidelity(-1.0, 0.1)
         with pytest.raises(ParameterError):
             estimate_fidelity(1.0, -0.1)
-
-
-class TestExtrapolateReplicas:
-    def test_inversion(self):
-        fit = PowerLawFit(coeff=1.0, alpha=-0.5, window=(0, 4), residual=0.0)
-        assert extrapolate_replicas(fit, 0.1) == 100
-
-    def test_boundary(self):
-        fit = PowerLawFit(coeff=0.8, alpha=-0.5, window=(0, 4), residual=0.0)
-        assert extrapolate_replicas(fit, 0.9) == 1
-
-    def test_rejects_non_decaying_fit(self):
-        fit = PowerLawFit(coeff=1.0, alpha=0.2, window=(0, 4), residual=0.0)
-        with pytest.raises(ParameterError):
-            extrapolate_replicas(fit, 0.1)
-
-    def test_synthetic_projection(self):
-        rng = np.random.default_rng(3)
-        hist = history_from_law(
-            4.0, -0.55, np.logspace(2, 4, 14).astype(int), noise=0.02, rng=rng
-        )
-        fit = fit_power_law(hist, "r_real", tail_fraction=1.0)
-        projected = extrapolate_replicas(fit, 0.05)
-        truth = (0.05 / 4.0) ** (1 / -0.55)
-        assert abs(projected - truth) / truth < 0.10
 
 
 class TestPerSiteFidelity:

@@ -482,7 +482,7 @@ def _peak_mb(fn, *args):
 class TestMemory:
     # 2 x 10^4 noisy shots of a Random N=16, D=8 target, the size of the
     # shots_io benchmark: 7.7 MB of shot arrays.  Sampling a block of shots
-    # at a time and reading into one buffer peak at 15.4 and 10.8 MB;
+    # at a time and reading into one buffer peak at 12.8 and 10.8 MB;
     # sampling every shot at once took 28.2 MB, and holding every site's
     # rotations too 52.5 MB; reading a list of blocks and joining them took
     # 15.6 MB, and a second copy of the shot arrays 28.6 MB.
@@ -506,10 +506,12 @@ class TestMemory:
 
     def test_large_shared_draw_holds_a_block_of_shots(self):
         # 2 x 10^5 shots in one basis, as criterion 1 draws them: 24 MB of
-        # shot arrays, and 32 MB at the peak; sampling every shot at once
-        # took 88 MB
+        # shot arrays, and about as much at the peak; sampling every shot at
+        # once took 88 MB
         target = random_target(5, 3, seed=8)
         basis = sample_bases(1, 5, np.random.default_rng(3))
         ds, peak = _peak_mb(draw_shots, target, basis, 200_000, np.random.default_rng(12))
         outputs = sum(a.nbytes for a in (ds.thetas, ds.phis, ds.outcome_indices)) / 1e6
-        assert peak < outputs + 12.0
+        assert peak < outputs + 4.0
+        assert ds.thetas.flags.c_contiguous and ds.phis.flags.c_contiguous
+        assert not any(np.shares_memory(a, b) for a in (ds.thetas, ds.phis) for b in basis)

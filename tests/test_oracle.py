@@ -1,18 +1,13 @@
 import numpy as np
 import pytest
 
-from mpstomo import (
+from mpstomo import ParameterError, PartialReconstructionError, random_target, sample_bases, w_state
+from mpstomo.oracle import (
     DenseState,
-    ParameterError,
-    PartialReconstructionError,
     dense_probabilities,
     dense_probability,
     fixed_basis_probabilities,
     fixed_basis_reconstruct,
-    kl_divergence,
-    random_target,
-    sample_bases,
-    w_state,
 )
 
 from conftest import all_z, shot_probability
@@ -76,16 +71,6 @@ class TestDenseProbability:
 
 
 class TestKlDivergence:
-    def test_identical_states_zero(self, rng):
-        state = random_dense(3, rng)
-        assert abs(kl_divergence(state, state, 5, rng)) < 1e-10
-
-    def test_non_negative(self, rng):
-        for _ in range(5):
-            p = random_dense(3, rng)
-            q = random_dense(3, rng)
-            assert kl_divergence(p, q, 10, rng) > -1e-10
-
     def test_pinsker_bound_per_basis(self, rng):
         for _ in range(5):
             p_state = random_dense(3, rng)

@@ -17,6 +17,7 @@ from mpstomo import (
     train_stage,
     w_state,
 )
+from mpstomo.mps import max_canonical_defect
 from mpstomo.oracle import DenseState, dense_probability
 from mpstomo.training import BondObjective
 
@@ -170,8 +171,6 @@ class TestSweep:
         np.testing.assert_allclose(before * phase, after, atol=1e-12)
 
     def test_canonical_invariants_after_sweep(self, rng):
-        from mpstomo import max_canonical_defect
-
         target = w_state(5, 0.0)
         ds = measure_batch(target, 200, 0.0, rng)
         cfg = TrainConfig(d_cap=8, sweeps_per_stage=1)
