@@ -1,15 +1,17 @@
 """Independent runs spread over the CPUs this process may use.
 
 Virtual calibration and scaling suites run tomographies that share
-nothing.  ``map_runs`` splits them across ``min(len(args),
-len(os.sched_getaffinity(0)))`` processes: the calling process runs its
-share itself, and every other process is a fresh interpreter running
-``serve``.  A worker imports numpy and mpstomo only, from the caller's
-package directory, with the BLAS thread variables set to 1 in its own
-environment; it reads pickled calls from its stdin and writes pickled
-results to its stdout.  Runs are handed out one at a time to whichever
-process is free, and results come back in argument order, so the result
-is that of a serial loop whatever process ran each run.
+nothing.  ``map_runs`` sends them to ``min(len(args),
+len(os.sched_getaffinity(0)))`` worker processes, and the calling process
+only hands out runs and waits; with one CPU or one run, the calls run
+serially in the caller.  A worker is a fresh interpreter running
+``serve``: it imports numpy and mpstomo only, from the caller's package
+directory, with the BLAS thread variables set to 1 in its own
+environment, so every run gets one BLAS thread; it reads pickled calls
+from its stdin and writes pickled results to its stdout.  Runs are handed
+out one at a time to whichever worker is free, and results come back in
+argument order, so the result is that of a serial loop whatever worker
+ran each run.
 
 Workers are fresh interpreters rather than a ``multiprocessing`` pool: a
 spawn pool re-executes the caller's main script in every worker, which
@@ -102,10 +104,6 @@ class _Schedule:
                 self.errors[i] = exc
 
 
-def _local_call(fn, arg):
-    return fn(arg)
-
-
 def _feed(worker, schedule):
     try:
         while (i := schedule.take()) is not None:
@@ -124,16 +122,21 @@ def _cpu_count() -> int:
 def map_runs(fn, args) -> list:
     """``[fn(a) for a in args]``, with the calls spread over the CPUs.
 
-    ``fn`` must be importable in a worker, which has numpy and mpstomo
-    only: a module-level function of mpstomo, say.  If calls raise, every
-    call handed out finishes, no further one starts, and the exception of
-    the first failed call in argument order is raised, as a serial loop
-    would.  Workers are reaped on every path the caller survives, an
-    interrupt included; a worker whose caller is killed outright finishes
-    the run it holds and then exits.  With one CPU none is started.
+    With two or more CPUs and runs, every call runs in a worker, and the
+    caller only hands out runs and waits.  ``fn`` must be importable in a
+    worker, which has numpy and mpstomo only: a module-level function of
+    mpstomo, say.  If calls raise, every call handed out finishes, no
+    further one starts, and the exception of the first failed call in
+    argument order is raised, as a serial loop would.  Workers are reaped
+    on every path the caller survives, an interrupt included; a worker
+    whose caller is killed outright finishes the run it holds and then
+    exits.  With one CPU or one run, the calls run serially in the caller
+    and no worker starts.
     """
     args = list(args)
-    n_workers = min(len(args), _cpu_count()) - 1
+    n_workers = min(len(args), _cpu_count())
+    if n_workers < 2:
+        return [fn(a) for a in args]
     schedule = _Schedule(fn, args)
     workers, threads = [], []
     try:
@@ -142,8 +145,6 @@ def map_runs(fn, args) -> list:
             feeder = threading.Thread(target=_feed, args=(workers[-1], schedule), daemon=True)
             threads.append(feeder)
             feeder.start()
-        while (i := schedule.take()) is not None:
-            schedule.run(i, _local_call)
         for t in threads:  # inside the try: an interrupt while waiting kills
             t.join()
     except BaseException:  # an interrupt included: kill, reap, re-raise

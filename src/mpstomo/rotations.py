@@ -118,19 +118,3 @@ def rotation_matrices(thetas, phis, spin) -> np.ndarray:
         u[pole] = np.eye(q)
     return u
 
-
-def spin_operators(spin):
-    """Cartesian spin matrices (s_x, s_y, s_z) in the descending-m basis."""
-    two_s = _two_s(spin)
-    q = two_s + 1
-    m = (two_s - 2 * np.arange(q)) / 2.0
-    sz = np.diag(m).astype(complex)
-    # raising operator in descending-m order couples p -> p - 1
-    sp = np.zeros((q, q), dtype=complex)
-    s = two_s / 2.0
-    for p in range(1, q):
-        sp[p - 1, p] = np.sqrt(s * (s + 1) - m[p] * (m[p] + 1))
-    sm = sp.conj().T
-    sx = (sp + sm) / 2.0
-    sy = (sp - sm) / 2.0j
-    return sx, sy, sz

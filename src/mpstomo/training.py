@@ -126,7 +126,7 @@ class BondObjective:
     """The training objective restricted to one merged two-site tensor.
 
     Environments (everything outside the merged pair, rotated and contracted
-    with the shot outcomes) are frozen at construction; ``loss`` and
+    with the shot outcomes) are frozen by ``from_environments``; ``loss`` and
     ``gradient`` may then be evaluated for arbitrary merged tensors of the
     matching shape.  ``gradient`` returns the ascent direction of -loss with
     respect to the conjugated tensor.  Shots whose normalized probability
@@ -136,22 +136,10 @@ class BondObjective:
     so that a caller evaluating both at one tensor computes it once.
     """
 
-    def __init__(self, mps, bond, dataset, penalty_weight):
-        if not 0 <= bond <= mps.n_sites - 2:
-            raise ParameterError(f"bond {bond} out of range")
-        if mps.canonical_center not in (bond, bond + 1):
-            mps = mps.canonicalize(bond)
-        tensors, rows = _tensors_and_rows(mps, dataset)
-        self._init_from_parts(
-            _left_envs(tensors, rows, bond)[bond],
-            rows[bond],
-            rows[bond + 1],
-            _right_envs(tensors, rows, bond + 2)[bond + 2],
-            penalty_weight,
-        )
-
     @classmethod
     def from_environments(cls, left, row_a, row_b, right, penalty_weight):
+        """The objective at a bond with per-shot ``left`` (|V|, D1) and
+        ``right`` (|V|, D2) environments and the two sites' rotation rows."""
         obj = cls.__new__(cls)
         obj._init_from_parts(left, row_a, row_b, right, penalty_weight)
         return obj

@@ -3,6 +3,7 @@ import pytest
 
 from mpstomo import Dataset, nll
 from mpstomo.mps import outcome_indices
+from mpstomo.training import BondObjective, _left_envs, _right_envs, _tensors_and_rows
 
 
 @pytest.fixture
@@ -26,6 +27,22 @@ def one_shot_dataset(thetas, phis, ms, local_dim=2):
     ds = Dataset(len(ms), local_dim)
     ds.extend_raw([thetas], [phis], [outcome_indices(ms, local_dim)])
     return ds
+
+
+def bond_objective(mps, bond, dataset, penalty_weight):
+    """The objective the trainer builds at ``bond``, with its merged tensor:
+    the state canonicalized at the bond, its environments contracted over
+    the dataset's rotation rows."""
+    work = mps.canonicalize(bond)
+    tensors, rows = _tensors_and_rows(work, dataset)
+    obj = BondObjective.from_environments(
+        _left_envs(tensors, rows, bond)[bond],
+        rows[bond],
+        rows[bond + 1],
+        _right_envs(tensors, rows, bond + 2)[bond + 2],
+        penalty_weight,
+    )
+    return obj, work.merge_adjacent(bond)
 
 
 def all_z(n_sites):

@@ -39,9 +39,8 @@ from mpstomo.oracle import (
 )
 from mpstomo.parallel import map_runs
 from mpstomo.rotations import rotation_matrices, wigner_d_matrix
-from mpstomo.training import BondObjective
 
-from conftest import shot_probability
+from conftest import bond_objective, shot_probability
 from test_training import fd_gradient
 
 
@@ -93,9 +92,7 @@ def test_criterion_2_gradient_correctness():
             dataset = measure_batch(target, 50, 0.0, rng)
             model = random_init(n, 2, d, seed=100 + trial)
             bond = int(rng.integers(0, n - 1))
-            work = model.canonicalize(bond)
-            obj = BondObjective(work, bond, dataset, lam)
-            merged = work.merge_adjacent(bond)
+            obj, merged = bond_objective(model, bond, dataset, lam)
             grad = obj.gradient(merged)
             rel = np.linalg.norm(fd_gradient(obj, merged) - grad) / np.linalg.norm(grad)
             worst = max(worst, rel)

@@ -31,11 +31,13 @@ def test_patched_names_exist_on_their_owners(span):
 
 def test_bond_objective_keeps_the_attributes_the_hooks_read(rng):
     from mpstomo import measure_batch, random_init, w_state
-    from mpstomo.training import BondObjective
 
-    model = random_init(4, 2, 2, seed=1).canonicalize(1)
-    obj = BondObjective(model, 1, measure_batch(w_state(4), 20, 0.0, rng), 0.1)
-    obj.gradient(model.merge_adjacent(1))
+    from conftest import bond_objective
+
+    obj, merged = bond_objective(
+        random_init(4, 2, 2, seed=1), 1, measure_batch(w_state(4), 20, 0.0, rng), 0.1
+    )
+    obj.gradient(merged)
     for attr in ("count", "shape", "penalty_weight", "clamped_last"):
         assert hasattr(obj, attr), attr
 

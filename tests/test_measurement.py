@@ -31,9 +31,26 @@ from mpstomo import (
 from mpstomo import measurement
 from mpstomo.mps import _gaussian_chain
 from mpstomo.oracle import DenseState, dense_probabilities
-from mpstomo.rotations import rotation_matrices, spin_operators, wigner_d_matrix
+from mpstomo.rotations import _two_s, rotation_matrices, wigner_d_matrix
 
 from conftest import all_z, one_shot_dataset, shot_probability
+
+
+def spin_operators(spin):
+    """Cartesian spin matrices (s_x, s_y, s_z) in the descending-m basis."""
+    two_s = _two_s(spin)
+    q = two_s + 1
+    m = (two_s - 2 * np.arange(q)) / 2.0
+    sz = np.diag(m).astype(complex)
+    # raising operator in descending-m order couples p -> p - 1
+    sp = np.zeros((q, q), dtype=complex)
+    s = two_s / 2.0
+    for p in range(1, q):
+        sp[p - 1, p] = np.sqrt(s * (s + 1) - m[p] * (m[p] + 1))
+    sm = sp.conj().T
+    sx = (sp + sm) / 2.0
+    sy = (sp - sm) / 2.0j
+    return sx, sy, sz
 
 
 def outcome_codes(dataset):

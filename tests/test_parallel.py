@@ -3,8 +3,11 @@ errors, and leave no worker process behind."""
 
 import os
 import re
+import signal
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -85,12 +88,30 @@ def test_suite_rows_equal_serial_runs():
             assert row.mean_replicas == sum(reached) / len(reached)
 
 
-def test_first_failing_run_in_order_raises():
-    # every run fails fast or runs small; whichever process runs which, the
-    # error is that of run 1, as in a serial loop
+@pytest.fixture
+def started(monkeypatch):
+    """The workers map_runs starts."""
+    workers = []
+    worker_class = parallel._Worker
+
+    def start():
+        workers.append(worker_class())
+        return workers[-1]
+
+    monkeypatch.setattr(parallel, "_Worker", start)
+    return workers
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_first_failing_run_in_order_raises(started, monkeypatch, n_cpus):
+    # every run fails fast or runs small; serially on one CPU, and whichever
+    # worker runs which on two, the error is that of run 1, as in a serial loop
+    monkeypatch.setattr(parallel, "_cpu_count", lambda: n_cpus)
     configs = [_small(), _small(max_replicas=0), _small(fidelity_threshold=1.5)]
     with pytest.raises(ParameterError, match="no stages"):
         parallel.map_runs(runner._suite_run, configs)
+    assert len(started) == (0 if n_cpus == 1 else n_cpus)
+    assert all(w.proc.returncode is not None for w in started)
 
 
 @multi_cpu
@@ -106,20 +127,6 @@ def test_worker_error_keeps_its_class():
         assert worker.proc.wait(timeout=60) == 0
 
 
-@pytest.fixture
-def started(monkeypatch):
-    """The workers map_runs starts."""
-    workers = []
-    worker_class = parallel._Worker
-
-    def start():
-        workers.append(worker_class())
-        return workers[-1]
-
-    monkeypatch.setattr(parallel, "_Worker", start)
-    return workers
-
-
 @multi_cpu
 def test_workers_are_reaped_after_success(started):
     parallel.map_runs(runner._suite_run, [_small(), _small(seed=4)])
@@ -127,14 +134,19 @@ def test_workers_are_reaped_after_success(started):
 
 
 @multi_cpu
-def test_workers_are_reaped_after_an_interrupt(started, monkeypatch):
-    def interrupt(config):
-        raise KeyboardInterrupt
-
-    # the caller's runs are interrupted; the workers' runs are not
-    monkeypatch.setattr(runner, "run_tomography", interrupt)
-    with pytest.raises(KeyboardInterrupt):
-        parallel.map_runs(runner._suite_run, [_small(), _small(seed=4), _small(seed=5)])
+def test_workers_are_reaped_after_an_interrupt(started):
+    # the caller only waits while the workers run; an interrupt that reaches
+    # it there kills and reaps them at once, long before their runs end
+    main = threading.main_thread().ident
+    timer = threading.Timer(0.5, signal.pthread_kill, (main, signal.SIGINT))
+    t0 = time.monotonic()
+    timer.start()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            parallel.map_runs(time.sleep, [5, 5, 5])
+    finally:
+        timer.cancel()
+    assert time.monotonic() - t0 < 4
     assert started and all(w.proc.returncode is not None for w in started)
 
 
@@ -147,8 +159,14 @@ def test_more_workers_than_cores_lose_no_run(started, monkeypatch):
         assert parallel.map_runs(str, range(300)) == [str(i) for i in range(300)]
     finally:
         sys.setswitchinterval(interval)
-    assert len(started) == n_procs - 1
+    assert len(started) == n_procs
     assert all(w.proc.returncode is not None for w in started)
+
+
+@multi_cpu
+def test_every_run_gets_one_blas_thread(monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    assert parallel.map_runs(os.getenv, ["OPENBLAS_NUM_THREADS"] * 2) == ["1", "1"]
 
 
 def test_readme_library_example_runs_as_an_unguarded_script(tmp_path):

@@ -19,9 +19,8 @@ from mpstomo import (
 )
 from mpstomo.mps import max_canonical_defect
 from mpstomo.oracle import DenseState, dense_probability
-from mpstomo.training import BondObjective
 
-from conftest import all_z, one_shot_dataset
+from conftest import all_z, bond_objective, one_shot_dataset
 
 
 def product_state(n):
@@ -90,9 +89,7 @@ class TestTwoSiteGradient:
             ds = measure_batch(target, 50, 0.0, rng)
             model = random_init(n, 2, d, seed=trial + 50)
             bond = int(rng.integers(0, n - 1))
-            work = model.canonicalize(bond)
-            obj = BondObjective(work, bond, ds, lam)
-            merged = work.merge_adjacent(bond)
+            obj, merged = bond_objective(model, bond, ds, lam)
             grad = obj.gradient(merged)
             fd = fd_gradient(obj, merged)
             rel = np.linalg.norm(fd - grad) / np.linalg.norm(grad)
@@ -103,9 +100,8 @@ class TestTwoSiteGradient:
     def test_norm_direction_component_vanishes(self, rng):
         target = random_target(4, 2, seed=9)
         ds = measure_batch(target, 60, 0.0, rng)
-        model = random_init(4, 2, 3, seed=1).canonicalize(1)
-        merged = model.merge_adjacent(1)
-        grad = BondObjective(model, 1, ds, 0.0).gradient(merged)
+        obj, merged = bond_objective(random_init(4, 2, 3, seed=1), 1, ds, 0.0)
+        grad = obj.gradient(merged)
         ip = np.vdot(grad, merged)
         assert abs(ip.real) < 1e-9
 
@@ -113,16 +109,16 @@ class TestTwoSiteGradient:
         rng = np.random.default_rng(8)
         target = random_target(4, 2, seed=4).canonicalize(1)
         ds = measure_batch(target, 10_000, 0.0, rng)
-        grad = BondObjective(target, 1, ds, 0.0).gradient(target.merge_adjacent(1))
+        obj, merged = bond_objective(target, 1, ds, 0.0)
+        grad = obj.gradient(merged)
         assert np.linalg.norm(grad) < 0.1
 
     def test_unnormalized_merged_tensor(self, rng):
         # the -N'/N terms must handle arbitrary scale
         target = random_target(3, 2, seed=2)
         ds = measure_batch(target, 40, 0.0, rng)
-        model = random_init(3, 2, 2, seed=3).canonicalize(0)
-        obj = BondObjective(model, 0, ds, 0.1)
-        merged = 3.7 * model.merge_adjacent(0)
+        obj, merged = bond_objective(random_init(3, 2, 2, seed=3), 0, ds, 0.1)
+        merged = 3.7 * merged
         rel = np.linalg.norm(fd_gradient(obj, merged) - obj.gradient(merged))
         rel /= np.linalg.norm(obj.gradient(merged))
         assert rel < 1e-5
@@ -131,9 +127,7 @@ class TestTwoSiteGradient:
     def test_passed_point_matches_a_fresh_one(self, rng, lam):
         target = random_target(4, 2, seed=5)
         ds = measure_batch(target, 60, 0.0, rng)
-        model = random_init(4, 2, 3, seed=2).canonicalize(1)
-        obj = BondObjective(model, 1, ds, lam)
-        merged = model.merge_adjacent(1)
+        obj, merged = bond_objective(random_init(4, 2, 3, seed=2), 1, ds, lam)
         point = obj.point(merged)
         assert obj.loss(merged, point) == obj.loss(merged)
         assert np.array_equal(obj.gradient(merged, point), obj.gradient(merged))
