@@ -88,20 +88,6 @@ def test_suite_rows_equal_serial_runs():
             assert row.mean_replicas == sum(reached) / len(reached)
 
 
-@pytest.fixture
-def started(monkeypatch):
-    """The workers map_runs starts."""
-    workers = []
-    worker_class = parallel._Worker
-
-    def start():
-        workers.append(worker_class())
-        return workers[-1]
-
-    monkeypatch.setattr(parallel, "_Worker", start)
-    return workers
-
-
 @pytest.mark.parametrize("n_cpus", [1, 2])
 def test_first_failing_run_in_order_raises(started, monkeypatch, n_cpus):
     # every run fails fast or runs small; serially on one CPU, and whichever
@@ -125,6 +111,20 @@ def test_worker_error_keeps_its_class():
     finally:
         worker.close()
         assert worker.proc.wait(timeout=60) == 0
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The workers map_runs starts."""
+    workers = []
+    worker_class = parallel._Worker
+
+    def start():
+        workers.append(worker_class())
+        return workers[-1]
+
+    monkeypatch.setattr(parallel, "_Worker", start)
+    return workers
 
 
 @multi_cpu
