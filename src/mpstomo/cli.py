@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .config import ExperimentConfig, build_experiment_config, load_config
 from .errors import ParameterError, ResourceError, TomographyError
-from .estimation import fit_power_law, run_virtual, virtual_config
+from .estimation import fit_power_law, run_virtual
 from .mps import load_mps
 from .runner import (
     read_history,
@@ -88,9 +89,10 @@ def _cmd_virtual(args) -> int:
     result = run_virtual(trained, cfg, n_runs=args.runs, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for i, hist in enumerate(result.histories):
-        sub_cfg = virtual_config(cfg, args.model, args.seed + i)
-        write_run_dir(out / f"virtual_{i:02d}", sub_cfg, hist, source="virtual")
+    for i, (run_cfg, hist) in enumerate(zip(result.configs, result.histories)):
+        # run.cfg names the model file the run trained against
+        run_cfg = replace(run_cfg, target=args.model)
+        write_run_dir(out / f"virtual_{i:02d}", run_cfg, hist, source="virtual")
     (out / "calibration.txt").write_text(
         f"c_mean = {result.mean!r}\nc_std = {result.std!r}\nn_runs = {args.runs}\n"
     )
@@ -182,15 +184,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterError, ResourceError) as exc:
+    except (ParameterError, ResourceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TomographyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -151,6 +151,8 @@ class ExperimentConfig:
             raise ParameterError("noise_epsilon must lie in [0, 1]")
         if self.c_estimate is not None and self.c_estimate <= 0:
             raise ParameterError("c_estimate must be positive when given")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be a non-negative integer, got {self.seed}")
         self.train.validate()
         if self.max_replicas < 1:
             raise ParameterError("no stages: max_replicas must be >= 1")

@@ -50,12 +50,14 @@ class PowerLawFit:
 
 @dataclass
 class CalibrationResult:
-    """Spread of the tail ratio r_real^2 / r_succ over virtual runs."""
+    """Spread of the tail ratio r_real^2 / r_succ over virtual runs, with
+    each run's config and history."""
 
     mean: float
     std: float
     values: list[float]
     histories: list[list[StageRecord]] = field(default_factory=list)
+    configs: list = field(default_factory=list)
 
 
 def r_succ(prev, curr) -> float:
@@ -148,21 +150,6 @@ def tail_ratio(history, tail_fraction=0.5, min_replicas=TAIL_MIN_REPLICAS) -> fl
     return float(np.mean(vals))
 
 
-def virtual_config(protocol, target, seed):
-    """The config of one virtual run: ``protocol`` against the known
-    ``target`` with ``seed``, running every stage, with no ``c_estimate``
-    and no ``output_dir``."""
-    return replace(
-        protocol,
-        target=target,
-        seed=seed,
-        output_dir=None,
-        blind=False,
-        stop_on_threshold=False,
-        c_estimate=None,
-    )
-
-
 def _virtual_run(config):
     """One virtual run: its history and tail ratio."""
     from .runner import run_tomography  # deferred: runner depends on this module
@@ -177,19 +164,28 @@ def run_virtual(trained, protocol, n_runs=8, seed=0) -> CalibrationResult:
     Runs ``n_runs`` independent full tomography simulations that use
     ``trained`` as a known target under the same protocol, then returns the
     mean and sample standard deviation of each run's tail ratio
-    r_real^2 / r_succ.  The runs are spread over the CPUs this process may
-    use (see ``mpstomo.parallel``); the result is that of running them one
-    after another.
+    r_real^2 / r_succ.  Run i is ``protocol`` with seed ``seed + i``,
+    running every stage, with no ``c_estimate`` and no ``output_dir``; every
+    run config is validated before the first run starts.  The runs are
+    spread over the CPUs this process may use (see ``mpstomo.parallel``);
+    the result is that of running them one after another.
     """
     from .parallel import map_runs
 
     if n_runs < 1:
         raise ParameterError("need at least one virtual run")
-    runs = map_runs(
-        _virtual_run, [virtual_config(protocol, trained, seed + i) for i in range(n_runs)]
-    )
+    configs = [
+        replace(
+            protocol, target=trained, seed=seed + i, output_dir=None, blind=False,
+            stop_on_threshold=False, c_estimate=None,
+        )
+        for i in range(n_runs)
+    ]
+    for c in configs:
+        c.validate()
+    runs = map_runs(_virtual_run, configs)
     histories = [history for history, _ in runs]
     values = [value for _, value in runs]
     mean = float(np.mean(values))
     std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
-    return CalibrationResult(mean=mean, std=std, values=values, histories=histories)
+    return CalibrationResult(mean, std, values, histories, configs)

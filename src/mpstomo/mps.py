@@ -161,20 +161,6 @@ class MatrixProductState:
         f = min(abs(_overlap(self._tensors, other._tensors)), 1.0)
         return f, float(np.sqrt((1.0 - f * f) / 2.0))
 
-    # -- two-site operations -------------------------------------------------
-
-    def merge_adjacent(self, k) -> np.ndarray:
-        """Contract sites k and k+1 over bond k into a (D_left, q, q, D_right)
-        array.  Requires the canonical center at site k or k+1 so the
-        environments are isometric."""
-        if not 0 <= k <= self.n_sites - 2:
-            raise ParameterError(f"bond {k} out of range")
-        if self._center not in (k, k + 1):
-            raise StateError(
-                f"canonical center must be at site {k} or {k + 1}, is {self._center}"
-            )
-        return np.einsum("ivj,jwl->ivwl", self._tensors[k], self._tensors[k + 1])
-
     def renyi2_entropy(self, k) -> float:
         """Second-order Renyi entanglement entropy across bond k of the
         normalized state, -ln sum_i s_i^4."""
@@ -285,6 +271,12 @@ def random_init(n_sites, local_dim, bond_dim, seed) -> MatrixProductState:
     return _gaussian_chain(
         n_sites, local_dim, bond_dim, seed, scale=0.2 / np.sqrt(2.0), offset=1.0
     )
+
+
+def merge_two_site(left, right) -> np.ndarray:
+    """Contract two adjacent site tensors over their shared bond into a
+    (D_left, q, q, D_right) array, the form :func:`split_two_site` splits."""
+    return np.einsum("ivj,jwl->ivwl", left, right)
 
 
 def split_two_site(merged, d_cap, eta, direction) -> tuple[np.ndarray, np.ndarray, float]:

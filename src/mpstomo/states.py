@@ -41,6 +41,8 @@ class TargetSpec:
             raise ParameterError("theta must be finite")
         if self.d_max < 1:
             raise ParameterError("d_max must be >= 1")
+        if self.seed < 0:
+            raise ParameterError(f"target seed must be a non-negative integer, got {self.seed}")
 
 
 def build_target(spec: TargetSpec) -> MatrixProductState:

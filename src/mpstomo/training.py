@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateStateError, ParameterError
-from .mps import MatrixProductState, split_two_site
+from .mps import MatrixProductState, merge_two_site, split_two_site
 from .rotations import rotation_matrices
 
 # normalized shot probabilities are clamped below at this floor in the loss;
@@ -43,12 +43,11 @@ class LossReport:
 
     nll: float
     penalty: float
-    total: float
     lam: float
 
-    @classmethod
-    def build(cls, nll, penalty, lam) -> "LossReport":
-        return cls(float(nll), float(penalty), float(nll + lam * penalty), float(lam))
+    @property
+    def total(self) -> float:
+        return self.nll + self.lam * self.penalty
 
 
 def _site_rows(dataset):
@@ -126,7 +125,7 @@ class BondObjective:
     """The training objective restricted to one merged two-site tensor.
 
     Environments (everything outside the merged pair, rotated and contracted
-    with the shot outcomes) are frozen by ``from_environments``; ``loss`` and
+    with the shot outcomes) are frozen at construction; ``loss`` and
     ``gradient`` may then be evaluated for arbitrary merged tensors of the
     matching shape.  ``gradient`` returns the ascent direction of -loss with
     respect to the conjugated tensor.  Shots whose normalized probability
@@ -136,13 +135,10 @@ class BondObjective:
     so that a caller evaluating both at one tensor computes it once.
     """
 
-    @classmethod
-    def from_environments(cls, left, row_a, row_b, right, penalty_weight):
+    def __init__(self, left, row_a, row_b, right, penalty_weight):
         """The objective at a bond with per-shot ``left`` (|V|, D1) and
         ``right`` (|V|, D2) environments and the two sites' rotation rows."""
-        obj = cls.__new__(cls)
-        obj._init_from_parts(left, row_a, row_b, right, penalty_weight)
-        return obj
+        self._init_from_parts(left, row_a, row_b, right, penalty_weight)
 
     def _init_from_parts(self, left, row_a, row_b, right, penalty_weight):
         count, d1 = left.shape
@@ -241,11 +237,8 @@ class _SweepEngine:
 
     def _train_bond(self, k, lam, move):
         cfg = self.cfg
-        obj = BondObjective.from_environments(
-            self.left[k], self.rows[k], self.rows[k + 1], self.right[k + 2], lam
-        )
-        merged = np.einsum("ivj,jwl->ivwl", self.tensors[k], self.tensors[k + 1])
-        merged = _optimize_bond(obj, merged, cfg)
+        obj = BondObjective(self.left[k], self.rows[k], self.rows[k + 1], self.right[k + 2], lam)
+        merged = _optimize_bond(obj, merge_two_site(self.tensors[k], self.tensors[k + 1]), cfg)
         merged /= np.linalg.norm(merged)
         d1, q, _, d2 = merged.shape
         eta = cfg.bond_eta(d1, q, d2, obj.count)
@@ -265,7 +258,7 @@ class _SweepEngine:
         for k in range(last, -1, -1):
             self._train_bond(k, lam, "left")
         penalty = self.to_mps().renyi2_entropy(0)
-        return LossReport.build(_chain_nll(self.tensors, self.rows), penalty, lam)
+        return LossReport(_chain_nll(self.tensors, self.rows), penalty, lam)
 
     def to_mps(self) -> MatrixProductState:
         return MatrixProductState(self.tensors, center=0)
@@ -281,7 +274,7 @@ def train_stage(mps, dataset, config) -> tuple[MatrixProductState, list[LossRepo
     """
     engine = _SweepEngine(mps, dataset, config)
     history = []
-    lam = config.lambda0
+    lam = float(config.lambda0)
     prev = None
     for _ in range(config.sweeps_per_stage):
         rep = engine.sweep(lam)
@@ -291,5 +284,5 @@ def train_stage(mps, dataset, config) -> tuple[MatrixProductState, list[LossRepo
                 break
         prev = rep.total
         lam *= config.lambda_decay
-    history.append(LossReport.build(rep.nll, rep.penalty, 0.0))
+    history.append(LossReport(rep.nll, rep.penalty, 0.0))
     return engine.to_mps(), history

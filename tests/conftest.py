@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mpstomo import Dataset, nll
-from mpstomo.mps import outcome_indices
+from mpstomo.mps import merge_two_site, outcome_indices
 from mpstomo.training import BondObjective, _left_envs, _right_envs, _tensors_and_rows
 
 
@@ -35,14 +35,14 @@ def bond_objective(mps, bond, dataset, penalty_weight):
     the dataset's rotation rows."""
     work = mps.canonicalize(bond)
     tensors, rows = _tensors_and_rows(work, dataset)
-    obj = BondObjective.from_environments(
+    obj = BondObjective(
         _left_envs(tensors, rows, bond)[bond],
         rows[bond],
         rows[bond + 1],
         _right_envs(tensors, rows, bond + 2)[bond + 2],
         penalty_weight,
     )
-    return obj, work.merge_adjacent(bond)
+    return obj, merge_two_site(work.tensor(bond), work.tensor(bond + 1))
 
 
 def all_z(n_sites):

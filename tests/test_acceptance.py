@@ -30,7 +30,7 @@ from mpstomo import (
     sample_bases,
     estimate_fidelity,
 )
-from mpstomo.mps import max_canonical_defect, split_two_site
+from mpstomo.mps import max_canonical_defect, merge_two_site, split_two_site
 from mpstomo.oracle import (
     DenseState,
     dense_probabilities,
@@ -273,7 +273,7 @@ def test_criterion_10_invariant_suite():
     # merge/split exact roundtrip and entropy bounds
     m = random_target(6, 4, seed=3).canonicalize(2)
     before = m.to_dense()
-    merged = m.merge_adjacent(2)
+    merged = merge_two_site(m.tensor(2), m.tensor(3))
     left, right, w = split_two_site(merged, 64, 0.0, "right")
     assert w == 0.0
     tensors = [m.tensor(k) for k in range(6)]

@@ -398,3 +398,32 @@ class TestVirtualCommand:
         assert a.values == b.values
         for ha, hb in zip(a.histories, b.histories):
             assert ha == hb
+
+
+class TestNegativeSeed:
+    """A negative seed is a parameter error on every entry point, found
+    before any run starts or any output is made."""
+
+    @pytest.mark.parametrize(
+        "argv, seed",
+        [
+            (["target", "--kind", "random", "--n", "4", "--d-max", "2", "--seed", "-3"], "-3"),
+            (["tomo", "--seed", "-1"], "-1"),
+            (["tomo", "--seed", "4", "--set", "target.kind=random", "--set", "target.d_max=2",
+              "--set", "target.seed=-2"], "-2"),
+            (["suite", "--kind", "size", "--grid", "3,4", "--seeds", "2", "--seed", "-9"], "-9"),
+            (["virtual", "--runs", "2", "--seed", "-1"], "-1"),
+        ],
+        ids=["target", "tomo", "set-target-seed", "suite", "virtual"],
+    )
+    def test_exit_code_names_the_seed(self, tmp_path, capsys, argv, seed):
+        out = tmp_path / "out"
+        if argv[0] != "target":
+            argv = [*argv, "--config", write_cfg(tmp_path / "exp.cfg", BASE_CFG)]
+        if argv[0] == "virtual":
+            w_state(4, 0.1).save(tmp_path / "w4.mps")
+            argv = [*argv, "--model", str(tmp_path / "w4.mps")]
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "non-negative integer" in err and f"got {seed}" in err
+        assert not out.exists()

@@ -12,12 +12,11 @@ from mpstomo import (
     MatrixProductState,
     ParameterError,
     ResourceError,
-    StateError,
     load_mps,
     random_init,
     w_state,
 )
-from mpstomo.mps import max_canonical_defect, outcome_indices, split_two_site
+from mpstomo.mps import max_canonical_defect, merge_two_site, outcome_indices, split_two_site
 from mpstomo.rotations import rotation_matrices
 
 from conftest import dense_from_tensors, shot_probability
@@ -159,21 +158,10 @@ class TestFidelityDistance:
 
 
 class TestMergeSplit:
-    def test_requires_center_at_bond(self, rng):
-        m = random_mps(5, 2, 3, rng).canonicalize(0)
-        with pytest.raises(StateError):
-            m.merge_adjacent(3)
-
-    def test_merge_matches_dense_contraction(self, rng):
-        m = random_mps(4, 2, 3, rng).canonicalize(1)
-        merged = m.merge_adjacent(1)
-        direct = np.einsum("ivj,jwl->ivwl", m.tensor(1), m.tensor(2))
-        np.testing.assert_allclose(merged, direct, atol=1e-12)
-
     def test_exact_roundtrip(self, rng):
         m = random_mps(5, 2, 4, rng).canonicalize(2)
         before = m.to_dense()
-        merged = m.merge_adjacent(2)
+        merged = merge_two_site(m.tensor(2), m.tensor(3))
         left, right, w = split_two_site(merged, d_cap=64, eta=0.0, direction="right")
         assert w == 0.0
         tensors = [m.tensor(k) for k in range(5)]
@@ -183,7 +171,7 @@ class TestMergeSplit:
 
     def test_product_state_merge_is_rank_one(self):
         m = random_init(4, 2, 1, seed=3).canonicalize(1)
-        merged = m.merge_adjacent(1)
+        merged = merge_two_site(m.tensor(1), m.tensor(2))
         d1, q, q2, d2 = merged.shape
         s = np.linalg.svd(merged.reshape(d1 * q, q2 * d2), compute_uv=False)
         assert s[1] < 1e-12

@@ -20,7 +20,7 @@ from mpstomo.runner import replicas_to_threshold, run_scaling_suite, run_tomogra
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE_PARENT = str(Path(mpstomo.__file__).resolve().parents[1])
 multi_cpu = pytest.mark.skipif(
-    len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs to start a worker"
+    parallel._cpu_count() < 2, reason="needs two CPUs to start a worker"
 )
 
 VIRTUAL_CFG = """\
@@ -64,6 +64,7 @@ def _virtual_cli(tmp_path, out_name, one_cpu):
     return {name: (out / name).read_bytes() for name in names}
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="cannot pin a CPU here")
 def test_virtual_one_cpu_and_unpinned_write_the_same_bytes(tmp_path):
     w_state(4, 0.1).save(tmp_path / "w4.mps")
     (tmp_path / "v.cfg").write_text(VIRTUAL_CFG)
@@ -130,6 +131,15 @@ def started(monkeypatch):
 @multi_cpu
 def test_workers_are_reaped_after_success(started):
     parallel.map_runs(runner._suite_run, [_small(), _small(seed=4)])
+    assert started and all(w.proc.returncode is not None for w in started)
+
+
+@multi_cpu
+def test_worker_that_dies_mid_run_raises(started):
+    t0 = time.monotonic()
+    with pytest.raises(ChildProcessError, match="^worker process exited with code 3$"):
+        parallel.map_runs(os._exit, [3, 3, 0])
+    assert time.monotonic() - t0 < 10
     assert started and all(w.proc.returncode is not None for w in started)
 
 

@@ -46,6 +46,7 @@ _TARGET_SPECS = _field_strategies(
     kind=st.sampled_from(["w", "cluster", "dimer", "random"]),
     n_sites=st.integers(min_value=1).map(lambda k: 2 * k),  # dimers need even n
     d_max=st.integers(min_value=1),
+    seed=st.integers(min_value=0),
 )
 _EXPERIMENT_CONFIGS = _field_strategies(
     ExperimentConfig,

@@ -73,7 +73,7 @@ class TestNll:
 
 class TestLossWithPenalty:
     def test_report_invariant(self):
-        rep = LossReport.build(1.25, 0.5, 0.3)
+        rep = LossReport(1.25, 0.5, 0.3)
         assert abs(rep.total - (rep.nll + rep.lam * rep.penalty)) < 1e-12
 
 
