@@ -73,27 +73,6 @@ def _contract_right(tensor, row, right):
     return np.einsum("siv,sv->si", t, row)
 
 
-def _left_envs(tensors, rows, stop) -> list:
-    """Per-shot left environments indexed by site: entry j contracts sites
-    0 .. j-1 with their rotation rows.  Entries above ``stop`` are None."""
-    envs = [None] * (len(tensors) + 1)
-    envs[0] = np.ones((rows[0].shape[0], 1), dtype=np.complex128)
-    for j in range(stop):
-        envs[j + 1] = _contract_left(envs[j], tensors[j], rows[j])
-    return envs
-
-
-def _right_envs(tensors, rows, start) -> list:
-    """Per-shot right environments indexed by site: entry j contracts sites
-    j .. N-1 with their rotation rows.  Entries below ``start`` are None."""
-    n = len(tensors)
-    envs = [None] * (n + 1)
-    envs[n] = np.ones((rows[0].shape[0], 1), dtype=np.complex128)
-    for j in range(n - 1, start - 1, -1):
-        envs[j] = _contract_right(tensors[j], rows[j], envs[j + 1])
-    return envs
-
-
 def _tensors_and_rows(mps, dataset):
     """The state's site tensors and the dataset's per-site rotation rows,
     after checking that the dataset is non-empty and matches the state."""
@@ -111,8 +90,10 @@ def _clamped_nll(probs) -> float:
 
 def _chain_nll(tensors, rows) -> float:
     """Whole-chain NLL of the site tensors over per-site rotation rows."""
-    amps = _left_envs(tensors, rows, len(tensors))[-1][:, 0]
-    return _clamped_nll(np.abs(amps) ** 2)
+    env = np.ones((rows[0].shape[0], 1), dtype=np.complex128)
+    for tensor, row in zip(tensors, rows):
+        env = _contract_left(env, tensor, row)
+    return _clamped_nll(np.abs(env[:, 0]) ** 2)
 
 
 def nll(mps, dataset) -> float:
@@ -186,11 +167,10 @@ class BondObjective:
         live = probs >= _PROB_FLOOR
         n_live = int(live.sum())
         self.clamped_last = self.count - n_live
-        w = np.divide(
-            1.0, self.count * amps.conj(), out=np.zeros(self.count, np.complex128), where=live
-        )
-        # conj(la)^T diag(w) conj(rb), without conjugate copies of la and rb
-        grad = ((self._la * w.conj()[:, None]).T @ self._rb).conj().reshape(self.shape)
+        # conj(la)^T diag(w) conj(rb) with w = 1 / (|V| conj(amp)), computed as
+        # conj(la^T diag(1 / (|V| amp)) rb), with no conjugate copy of la or rb
+        wc = np.divide(1.0, self.count * amps, out=np.zeros(self.count, np.complex128), where=live)
+        grad = ((self._la * wc[:, None]).T @ self._rb).conj().reshape(self.shape)
         grad -= (n_live / self.count / n2) * merged
         if purity is not None:
             lam = self.penalty_weight
@@ -232,8 +212,14 @@ class _SweepEngine:
         self.tensors, self.rows = _tensors_and_rows(mps.canonicalize(0), dataset)
         self.n = mps.n_sites
         self.cfg = config
-        self.left = _left_envs(self.tensors, self.rows, 0)
-        self.right = _right_envs(self.tensors, self.rows, 2)
+        # per-shot environments by site: left[j] contracts sites 0 .. j-1 and
+        # right[j] sites j .. N-1, each with its rotation rows; bond k reads
+        # left[k] and right[k + 2]
+        edge = np.ones((len(dataset), 1), dtype=np.complex128)
+        self.left = {0: edge}
+        self.right = {self.n: edge}
+        for j in range(self.n - 1, 1, -1):
+            self.right[j] = _contract_right(self.tensors[j], self.rows[j], self.right[j + 1])
 
     def _train_bond(self, k, lam, move):
         cfg = self.cfg
@@ -242,21 +228,22 @@ class _SweepEngine:
         merged /= np.linalg.norm(merged)
         d1, q, _, d2 = merged.shape
         eta = cfg.bond_eta(d1, q, d2, obj.count)
-        a, b, _ = split_two_site(merged, cfg.d_cap, eta, move)
-        self.tensors[k], self.tensors[k + 1] = a, b
-        if move == "right":
-            self.left[k + 1] = _contract_left(self.left[k], a, self.rows[k])
-        else:
-            self.right[k + 1] = _contract_right(b, self.rows[k + 1], self.right[k + 2])
+        self.tensors[k], self.tensors[k + 1], _ = split_two_site(merged, cfg.d_cap, eta, move)
 
     def sweep(self, lam) -> LossReport:
         """One full left-to-right-to-left pass at penalty weight ``lam``,
-        reported with the entropy across bond 0, where it parks the center."""
-        last = self.n - 2
-        for k in range(last + 1):
-            self._train_bond(k, lam, "right" if k < last else "left")
-        for k in range(last, -1, -1):
+        reported with the entropy across bond 0, where it parks the center.
+        An environment is contracted only where the next bond reads it."""
+        t, rows, last = self.tensors, self.rows, self.n - 2
+        for k in range(last):
+            self._train_bond(k, lam, "right")
+            self.left[k + 1] = _contract_left(self.left[k], t[k], rows[k])
+        # the turn: the last bond is trained again next, on the same environments
+        self._train_bond(last, lam, "left")
+        for k in range(last, 0, -1):
             self._train_bond(k, lam, "left")
+            self.right[k + 1] = _contract_right(t[k + 1], rows[k + 1], self.right[k + 2])
+        self._train_bond(0, lam, "left")
         penalty = self.to_mps().renyi2_entropy(0)
         return LossReport(_chain_nll(self.tensors, self.rows), penalty, lam)
 

@@ -3,7 +3,7 @@ import pytest
 
 from mpstomo import Dataset, nll
 from mpstomo.mps import merge_two_site, outcome_indices
-from mpstomo.training import BondObjective, _left_envs, _right_envs, _tensors_and_rows
+from mpstomo.training import BondObjective, _contract_left, _contract_right, _tensors_and_rows
 
 
 @pytest.fixture
@@ -35,13 +35,12 @@ def bond_objective(mps, bond, dataset, penalty_weight):
     the dataset's rotation rows."""
     work = mps.canonicalize(bond)
     tensors, rows = _tensors_and_rows(work, dataset)
-    obj = BondObjective(
-        _left_envs(tensors, rows, bond)[bond],
-        rows[bond],
-        rows[bond + 1],
-        _right_envs(tensors, rows, bond + 2)[bond + 2],
-        penalty_weight,
-    )
+    left = right = np.ones((len(dataset), 1), dtype=np.complex128)
+    for j in range(bond):
+        left = _contract_left(left, tensors[j], rows[j])
+    for j in range(len(tensors) - 1, bond + 1, -1):
+        right = _contract_right(tensors[j], rows[j], right)
+    obj = BondObjective(left, rows[bond], rows[bond + 1], right, penalty_weight)
     return obj, merge_two_site(work.tensor(bond), work.tensor(bond + 1))
 
 

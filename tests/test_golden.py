@@ -1,12 +1,13 @@
 """Byte-for-byte reproducibility of the run artifacts.
 
-Two fixed runs (W N=6 and Random N=6, D=3) are hashed artifact by artifact.
-``run.cfg`` is hashed without its ``output_dir`` line, which names the
-temporary directory.  The virtual path is pinned too: ``mpstomo virtual
---runs 2`` on the W6 run's model, hashing ``calibration.txt`` and each
-``virtual_NN/history.csv``.  A change that alters numerics must regenerate
-these hashes and say so in CHANGES.md; run this file as a script to print
-them:
+Four fixed runs are hashed artifact by artifact: W N=6 and Random N=6,
+D=3, and the benchmark's W N=8 workload at two seeds, one that converges
+and one whose training gets stuck.  ``run.cfg`` is hashed without its
+``output_dir`` line, which names the temporary directory.  The virtual
+path is pinned too: ``mpstomo virtual --runs 2`` on the W6 run's model,
+hashing ``calibration.txt`` and each ``virtual_NN/history.csv``.  A change
+that alters numerics must regenerate these hashes and say so in
+CHANGES.md; run this file as a script to print them:
 
     python tests/test_golden.py
 """
@@ -27,9 +28,16 @@ from mpstomo.cli import main
 
 ARTIFACTS = ("history.csv", "model.mps", "shots.txt", "losses.csv", "run.cfg")
 
+# the benchmark's w8_certify tomography (bench/workloads.py): 4000 shots in
+# batches of 500, no early stop, the op seed as the config seed
+W8 = dict(target=TargetSpec("W", 8, theta=0.1), max_replicas=4000, batch_max=500)
+
+# per run, what it sets on top of _config's defaults
 RUNS = {
-    "w6": TargetSpec("W", 6, theta=0.1),
-    "random6_d3": TargetSpec("Random", 6, d_max=3, seed=4),
+    "w6": dict(target=TargetSpec("W", 6, theta=0.1)),
+    "random6_d3": dict(target=TargetSpec("Random", 6, d_max=3, seed=4)),
+    "w8_seed13000": dict(W8, seed=13000),  # converges, F 0.997
+    "w8_seed13002": dict(W8, seed=13002),  # stuck, F 0.028
 }
 
 GOLDEN = {
@@ -46,6 +54,20 @@ GOLDEN = {
         "shots.txt": "bacbf2595b3a544d4afc50d9067d38b59720487a960ed5c8377ded477a442a8f",
         "losses.csv": "a7378e28cc9a307bba6c20f3f4002e52ebaa370955fbf956d4ad8db0fb1f3679",
         "run.cfg": "97116328c7e569425eebc19fb3548f8e6854643ee25bb852168daa04b1159986",
+    },
+    "w8_seed13000": {
+        "history.csv": "486f83fe8c42902c559bde40ac47ac3031163ecd2a89e68a2bec2f397c0d3d4b",
+        "model.mps": "e34c821b85614b82201d1fa70e2370bd6bc12460c0acb6170c5c0be7676c7540",
+        "shots.txt": "1643bae58ccb4721cc9130dc39f1b2c10dd0387da94612fe1321719232ba50ba",
+        "losses.csv": "edf60ab65070524cbeb5eb7cf543da165a9cd924b7a6b52b39d100168cd94d52",
+        "run.cfg": "ca82f33288d1f57f45459fd9516d15a740de6f21081ad2d6b1e6feeac5a5d5f9",
+    },
+    "w8_seed13002": {
+        "history.csv": "1d8600c7f03455fec6c704e383682f360a087b4b85c8857e16342b0a22cb3181",
+        "model.mps": "2cba3a12704beb004a7873ee2bcbba6717f35143e5544ce02609a0192fb493ef",
+        "shots.txt": "a42e00a2cff01d2d512a9b3fe82d8409d72b0619ddf985322b3f75bc3435d0c8",
+        "losses.csv": "629abc5752d884d209dc4f30149b3e7c36ced2561bd0744cac1f19189fb04e72",
+        "run.cfg": "1e93623a42dfb290d1ea2fbaf747da02a37a0df06ec1fb4b9db54911703c8ca1",
     },
 }
 
@@ -66,12 +88,10 @@ train.eta_noise = 1.0
 VIRTUAL_ARTIFACTS = ("calibration.txt", "virtual_00/history.csv", "virtual_01/history.csv")
 
 
-def _config(target, out_dir):
+def _config(name, out_dir):
+    settings = dict(max_replicas=1500, batch_max=300, seed=7) | RUNS[name]
     return ExperimentConfig(
-        target=target,
-        max_replicas=1500,
-        batch_max=300,
-        seed=7,
+        **settings,
         stop_on_threshold=False,
         output_dir=str(out_dir),
         train=TrainConfig(d_cap=8, eta_noise=1.0),
@@ -80,7 +100,7 @@ def _config(target, out_dir):
 
 def artifact_hashes(name, out_dir) -> dict[str, str]:
     """Run one fixed config into ``out_dir`` and hash its artifacts."""
-    run_tomography(_config(RUNS[name], out_dir))
+    run_tomography(_config(name, out_dir))
     out = {}
     for artifact in ARTIFACTS:
         data = (Path(out_dir) / artifact).read_bytes()
@@ -97,7 +117,7 @@ def virtual_hashes(work_dir) -> dict[str, str]:
     """Calibrate on the W6 golden model with two virtual runs and hash the
     calibration and each virtual run's history."""
     work = Path(work_dir)
-    run_tomography(_config(RUNS["w6"], work / "w6"))
+    run_tomography(_config("w6", work / "w6"))
     (work / "virtual.cfg").write_text(VIRTUAL_CONFIG)
     rc = main([
         "virtual", "--model", str(work / "w6" / "model.mps"),

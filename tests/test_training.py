@@ -17,6 +17,7 @@ from mpstomo import (
     train_stage,
     w_state,
 )
+from mpstomo import training
 from mpstomo.mps import max_canonical_defect
 from mpstomo.oracle import DenseState, dense_probability
 
@@ -133,6 +134,26 @@ class TestTwoSiteGradient:
         assert np.array_equal(obj.gradient(merged, point), obj.gradient(merged))
 
 
+class TestBondStep:
+    def test_guard_rejects_steps_that_raise_a_huge_penalty(self, rng):
+        # at the default penalty a fixed step never raises the loss; at
+        # lambda0 = 1e3 most steps would, and the guard keeps the last point
+        ds = measure_batch(w_state(5, 0.0), 300, 0.0, rng)
+        obj, merged = bond_objective(random_init(5, 2, 4, seed=2), 0, ds, 1e3)
+        stepped_from = []
+
+        def recording_gradient(at, point=None):
+            stepped_from.append(at)
+            return training.BondObjective.gradient(obj, at, point)
+
+        obj.gradient = recording_gradient
+        out = training._optimize_bond(obj, merged, TrainConfig(lambda0=1e3))
+        # a rejected step leaves the next one to start from the same tensor
+        rejected = sum(np.array_equal(a, b) for a, b in zip(stepped_from, stepped_from[1:]))
+        assert rejected >= 1
+        assert obj.loss(out) <= obj.loss(merged)
+
+
 class TestSweep:
     def test_product_target_converges(self, rng):
         target = product_state(4)
@@ -163,6 +184,22 @@ class TestSweep:
         after = out.to_dense()
         phase = after[np.argmax(np.abs(after))] / before[np.argmax(np.abs(after))]
         np.testing.assert_allclose(before * phase, after, atol=1e-12)
+
+    def test_contracts_only_the_environments_a_bond_reads(self, rng, monkeypatch):
+        calls = {"left": 0, "right": 0}
+        for side in calls:
+            contract = getattr(training, f"_contract_{side}")
+
+            def counted(*args, side=side, contract=contract):
+                calls[side] += 1
+                return contract(*args)
+
+            monkeypatch.setattr(training, f"_contract_{side}", counted)
+        ds = measure_batch(w_state(6, 0.0), 100, 0.0, rng)
+        train_stage(random_init(6, 2, 2, seed=1), ds, TrainConfig(d_cap=4, sweeps_per_stage=1))
+        # left: 4 in the sweep and 6 for its whole-chain NLL; right: 4 to
+        # seed the stage and 4 in the sweep, none past the last bond read
+        assert calls == {"left": 10, "right": 8}
 
     def test_canonical_invariants_after_sweep(self, rng):
         target = w_state(5, 0.0)
