@@ -17,8 +17,6 @@ from functools import cache
 from pathlib import Path
 from typing import get_args, get_type_hints
 
-import numpy as np
-
 from .errors import FormatError, ParameterError, utf8_lines
 from .states import TargetSpec
 
@@ -64,21 +62,15 @@ def _require_finite(cfg) -> None:
         raise ParameterError(f"{bad[0]} must be finite, got {bad[1]!r}")
 
 
-# upper bound of the noise-scaled truncation threshold (see TrainConfig)
-_ETA_CAP = 0.12
-
-
 @dataclass
 class TrainConfig:
     """Optimizer hyperparameters for the two-site sweeps.
 
-    ``eta`` is the fixed relative SVD truncation floor.  When ``eta_noise``
-    is positive, each bond additionally prunes singular values below
-    eta_noise * sqrt((D1 q + q D2) / (2 |V|)), capped at _ETA_CAP = 0.12: the
-    statistical magnitude that pure sampling noise induces on the merged
-    tensor's singular values.  This is what lets the bond dimensions settle
-    at the target's rank instead of absorbing shot noise; set eta_noise = 0
-    to truncate at the fixed floor only.
+    ``eta`` is the fixed relative SVD truncation floor.  ``eta_noise``
+    scales the noise-scaled threshold each bond also prunes at (see
+    ``training._bond_eta``); it is on by default, so that bond dimensions
+    settle at the target's rank instead of absorbing shot noise.  Set
+    eta_noise = 0 to truncate at the fixed floor only.
     """
 
     lambda0: float = 0.01
@@ -88,7 +80,7 @@ class TrainConfig:
     d_cap: int = 32
     eta: float = 1e-7
     convergence_tol: float = 1e-4
-    eta_noise: float = 0.0
+    eta_noise: float = 1.0
 
     def validate(self) -> None:
         _require_finite(self)
@@ -107,13 +99,6 @@ class TrainConfig:
         if self.eta_noise < 0:
             raise ParameterError("eta_noise must be >= 0")
 
-    def bond_eta(self, d1, q, d2, n_shots) -> float:
-        """Effective truncation threshold at one bond for ``n_shots`` samples."""
-        if self.eta_noise == 0.0:
-            return self.eta
-        noise = self.eta_noise * np.sqrt((d1 * q + q * d2) / (2.0 * n_shots))
-        return max(self.eta, min(_ETA_CAP, noise))
-
 
 @dataclass
 class ExperimentConfig:
@@ -130,9 +115,7 @@ class ExperimentConfig:
     batch_max: int = 0  # 0 = uncapped; capped batches give the -1 tail slope of r_succ
     max_replicas: int = 10000
     noise_epsilon: float = 0.0
-    # noise-scaled truncation on by default: experiment runs must not let
-    # bond dimensions absorb shot noise, or the fidelity plateaus early
-    train: TrainConfig = field(default_factory=lambda: TrainConfig(eta_noise=1.0))
+    train: TrainConfig = field(default_factory=TrainConfig)
     seed: int = 0
     output_dir: str | None = None
     blind: bool = False

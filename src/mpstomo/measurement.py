@@ -97,14 +97,11 @@ class Dataset:
         row = ";".join(["%r,%r,%d"] * self.n_sites) + "\n"
         # an object array hands the format Python floats and ints, and "%r"
         # of a Python float is its repr
-        cells = np.empty((min(_BLOCK, len(self)), self.n_sites, 3), dtype=object)
         with open(path, "w") as f:
             for start in range(0, len(self), _BLOCK):
-                block = cells[: min(_BLOCK, len(self) - start)]
-                shots = slice(start, start + len(block))
-                block[..., 0] = self.thetas[shots]
-                block[..., 1] = self.phis[shots]
-                block[..., 2] = twice_m[shots]
+                shots = slice(start, start + _BLOCK)
+                parts = (self.thetas[shots], self.phis[shots], twice_m[shots])
+                block = np.stack(parts, axis=-1, dtype=object)
                 f.write((row * len(block)) % tuple(block.ravel().tolist()))
 
     @classmethod

@@ -35,6 +35,8 @@ _PROB_FLOOR = 1e-12
 _STEP_SHRINK = 0.5
 # gradient steps tried per bond visit
 _GRAD_STEPS = 10
+# upper bound of the noise-scaled truncation threshold (see _bond_eta)
+_ETA_CAP = 0.12
 
 
 @dataclass
@@ -181,6 +183,20 @@ class BondObjective:
         return grad
 
 
+def _bond_eta(cfg, d1, q, d2, n_shots) -> float:
+    """Relative truncation threshold at one bond trained on ``n_shots`` shots.
+
+    Besides the fixed floor ``cfg.eta``, singular values below
+    eta_noise * sqrt((D1 q + q D2) / (2 |V|)), capped at _ETA_CAP, are
+    pruned: the statistical magnitude that pure sampling noise induces on
+    the merged tensor's singular values.  eta_noise = 0 leaves the floor only.
+    """
+    if cfg.eta_noise == 0.0:
+        return cfg.eta
+    noise = cfg.eta_noise * np.sqrt((d1 * q + q * d2) / (2.0 * n_shots))
+    return max(cfg.eta, min(_ETA_CAP, noise))
+
+
 def _optimize_bond(obj, merged, config):
     step = config.step_size
     point = obj.point(merged)
@@ -227,7 +243,7 @@ class _SweepEngine:
         merged = _optimize_bond(obj, merge_two_site(self.tensors[k], self.tensors[k + 1]), cfg)
         merged /= np.linalg.norm(merged)
         d1, q, _, d2 = merged.shape
-        eta = cfg.bond_eta(d1, q, d2, obj.count)
+        eta = _bond_eta(cfg, d1, q, d2, obj.count)
         self.tensors[k], self.tensors[k + 1], _ = split_two_site(merged, cfg.d_cap, eta, move)
 
     def sweep(self, lam) -> LossReport:

@@ -52,7 +52,7 @@ def w_run_config(n, seed, max_replicas, stop=True, threshold=0.995):
         max_replicas=max_replicas,
         stop_on_threshold=stop,
         seed=seed,
-        train=TrainConfig(d_cap=8, eta_noise=1.0),
+        train=TrainConfig(d_cap=8),
     )
 
 

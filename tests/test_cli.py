@@ -391,7 +391,7 @@ class TestVirtualCommand:
         proto = ExperimentConfig(
             target=TargetSpec("W", 4, theta=0.1),
             batch_initial=20, max_replicas=400, stop_on_threshold=False, seed=0,
-            train=TrainConfig(d_cap=4, sweeps_per_stage=4, eta_noise=1.0),
+            train=TrainConfig(d_cap=4, sweeps_per_stage=4),
         )
         a = run_virtual(trained, proto, n_runs=2, seed=77)
         b = run_virtual(trained, proto, n_runs=2, seed=77)

@@ -94,7 +94,7 @@ def _config(name, out_dir):
         **settings,
         stop_on_threshold=False,
         output_dir=str(out_dir),
-        train=TrainConfig(d_cap=8, eta_noise=1.0),
+        train=TrainConfig(d_cap=8),
     )
 
 

@@ -40,7 +40,7 @@ def _small(**kw):
         batch_initial=20,
         max_replicas=200,
         seed=3,
-        train=TrainConfig(d_cap=4, sweeps_per_stage=4, eta_noise=1.0),
+        train=TrainConfig(d_cap=4, sweeps_per_stage=4),
     )
     base.update(kw)
     return ExperimentConfig(**base)

@@ -63,7 +63,7 @@ def small_config(**kw):
         batch_growth=1.5,
         max_replicas=200,
         seed=3,
-        train=TrainConfig(d_cap=4, sweeps_per_stage=4, eta_noise=1.0),
+        train=TrainConfig(d_cap=4, sweeps_per_stage=4),
     )
     base.update(kw)
     return ExperimentConfig(**base)
@@ -122,6 +122,14 @@ class TestConfigFormat:
         except ParameterError:
             return
         assert build_experiment_config(parse_config_text(text)) == cfg
+
+    def test_replacing_train_keeps_noise_truncation(self):
+        target = TargetSpec("W", 4)
+        cfg = ExperimentConfig(target=target, train=TrainConfig(d_cap=8))
+        assert ExperimentConfig().train == TrainConfig()
+        assert cfg.train.eta_noise == 1.0
+        explicit = ExperimentConfig(target=target, train=TrainConfig(d_cap=8, eta_noise=1.0))
+        assert config_to_text(cfg) == config_to_text(explicit)
 
     def test_target_path_conflict(self):
         with pytest.raises(ParameterError):

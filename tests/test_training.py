@@ -261,7 +261,7 @@ class TestTrainStage:
         rng = np.random.default_rng(123)
         target = w_state(6, 0.0)
         ds = measure_batch(target, 2000, 0.0, rng)
-        cfg = TrainConfig(d_cap=8, eta_noise=1.0)
+        cfg = TrainConfig(d_cap=8)
         model, _ = train_stage(random_init(6, 2, 2, seed=0), ds, cfg)
         f, _ = model.fidelity_distance(target)
         assert f >= 0.98
@@ -277,11 +277,11 @@ class TestTrainConfig:
         # zero step size is a legal no-op configuration
         TrainConfig(step_size=0.0).validate()
 
-    def test_bond_eta_disabled_by_default(self):
-        cfg = TrainConfig()
-        assert cfg.bond_eta(4, 2, 4, 100) == cfg.eta
+    def test_bond_eta_off_switch(self):
+        cfg = TrainConfig(eta_noise=0.0)
+        assert training._bond_eta(cfg, 4, 2, 4, 100) == cfg.eta
 
     def test_bond_eta_noise_scale(self):
-        cfg = TrainConfig(eta_noise=1.0)
-        assert cfg.bond_eta(2, 2, 2, 10_000) == pytest.approx(np.sqrt(8 / 20_000))
-        assert cfg.bond_eta(8, 2, 8, 50) == 0.12
+        cfg = TrainConfig()
+        assert training._bond_eta(cfg, 2, 2, 2, 10_000) == pytest.approx(np.sqrt(8 / 20_000))
+        assert training._bond_eta(cfg, 8, 2, 8, 50) == training._ETA_CAP == 0.12
