@@ -237,14 +237,15 @@ class _SweepEngine:
         for j in range(self.n - 1, 1, -1):
             self.right[j] = _contract_right(self.tensors[j], self.rows[j], self.right[j + 1])
 
-    def _train_bond(self, k, lam, move):
+    def _train_bond(self, k, lam, move, visits=1):
         cfg = self.cfg
         obj = BondObjective(self.left[k], self.rows[k], self.rows[k + 1], self.right[k + 2], lam)
-        merged = _optimize_bond(obj, merge_two_site(self.tensors[k], self.tensors[k + 1]), cfg)
-        merged /= np.linalg.norm(merged)
-        d1, q, _, d2 = merged.shape
-        eta = _bond_eta(cfg, d1, q, d2, obj.count)
-        self.tensors[k], self.tensors[k + 1], _ = split_two_site(merged, cfg.d_cap, eta, move)
+        for _ in range(visits):
+            merged = _optimize_bond(obj, merge_two_site(self.tensors[k], self.tensors[k + 1]), cfg)
+            merged /= np.linalg.norm(merged)
+            d1, q, _, d2 = merged.shape
+            eta = _bond_eta(cfg, d1, q, d2, obj.count)
+            self.tensors[k], self.tensors[k + 1], _ = split_two_site(merged, cfg.d_cap, eta, move)
 
     def sweep(self, lam) -> LossReport:
         """One full left-to-right-to-left pass at penalty weight ``lam``,
@@ -254,12 +255,12 @@ class _SweepEngine:
         for k in range(last):
             self._train_bond(k, lam, "right")
             self.left[k + 1] = _contract_left(self.left[k], t[k], rows[k])
-        # the turn: the last bond is trained again next, on the same environments
-        self._train_bond(last, lam, "left")
+        # the turn: the last bond is trained twice in a row on the same
+        # environments, so both visits share one objective
+        self._train_bond(last, lam, "left", visits=2)
         for k in range(last, 0, -1):
-            self._train_bond(k, lam, "left")
             self.right[k + 1] = _contract_right(t[k + 1], rows[k + 1], self.right[k + 2])
-        self._train_bond(0, lam, "left")
+            self._train_bond(k - 1, lam, "left")
         penalty = self.to_mps().renyi2_entropy(0)
         return LossReport(_chain_nll(self.tensors, self.rows), penalty, lam)
 
