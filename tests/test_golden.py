@@ -42,39 +42,39 @@ RUNS = {
 
 GOLDEN = {
     "random6_d3": {
-        "history.csv": "2e8e11a7a3be5b3da3462d76af6d09782dfdb4e35ce641f00ba8fe7be0ca841e",
-        "model.mps": "0aec9233b87737a108d4c61024135b71e354b349afdd9f8dda38c2355a802fdd",
+        "history.csv": "435aec2e3ace6bc3143ef7dec65e2a2cd5339d46cde62de59d34765d31bf00af",
+        "model.mps": "b54c43e7f1a0f0651f3db7e2c071222e7a9340a884f5288eed8857464d113d56",
         "shots.txt": "c699232f89989e7eb7e7ad33b7bfd5badeebfa14fe0cd2916911d76846af5d77",
-        "losses.csv": "8e24a173d09ae66aff70f4045ee6f548e934b6001ef3e6cd2c44c4c96babe3dd",
+        "losses.csv": "c0e89ecaa033c7c9976a0ba97507f0da115a855828d5837e7078cdbad8edb971",
         "run.cfg": "34823adaf47b80d9a0b80cce9d1264ccebacbf0d053c5a05b1ad3da5c1e3918f",
     },
     "w6": {
-        "history.csv": "07ebf500226820dabb2704d1c67ce9c1f433b1d993f7e7ebcfb43356d0ddd381",
-        "model.mps": "3d8113bddb452b9fffa272ce843276379a83d24b5ab28b63826daab8fb083b67",
+        "history.csv": "47380c973fd1eaf5c4b07a83ac215e566911b19a2bd2bbb6b3d8728f669651b6",
+        "model.mps": "a9f118b6edd018a224622ee071c89b1f218717d6c015d1b42844414d6981ef47",
         "shots.txt": "bacbf2595b3a544d4afc50d9067d38b59720487a960ed5c8377ded477a442a8f",
-        "losses.csv": "a7378e28cc9a307bba6c20f3f4002e52ebaa370955fbf956d4ad8db0fb1f3679",
+        "losses.csv": "03436d59186bba3246f18fb731f9448dc7dd5d5aa99d2d30fdf6dfaf75c129a8",
         "run.cfg": "97116328c7e569425eebc19fb3548f8e6854643ee25bb852168daa04b1159986",
     },
     "w8_seed13000": {
-        "history.csv": "486f83fe8c42902c559bde40ac47ac3031163ecd2a89e68a2bec2f397c0d3d4b",
-        "model.mps": "e34c821b85614b82201d1fa70e2370bd6bc12460c0acb6170c5c0be7676c7540",
+        "history.csv": "11fea563198f23db456fe46c5a7ab24ca49fcacc1b6385ab9972ab4ab5f60ebd",
+        "model.mps": "b2faf5a9ac13f6ed1243dadd40dfdc5193dfea0ddeeb4d3d669dd10e6cd73de9",
         "shots.txt": "1643bae58ccb4721cc9130dc39f1b2c10dd0387da94612fe1321719232ba50ba",
-        "losses.csv": "edf60ab65070524cbeb5eb7cf543da165a9cd924b7a6b52b39d100168cd94d52",
+        "losses.csv": "acdf768308a2ff7e5d2fdb3288ad7055d0e57175cb03ecdc18c1ad54d57baecd",
         "run.cfg": "ca82f33288d1f57f45459fd9516d15a740de6f21081ad2d6b1e6feeac5a5d5f9",
     },
     "w8_seed13002": {
-        "history.csv": "1d8600c7f03455fec6c704e383682f360a087b4b85c8857e16342b0a22cb3181",
-        "model.mps": "2cba3a12704beb004a7873ee2bcbba6717f35143e5544ce02609a0192fb493ef",
+        "history.csv": "35fa4e3857208a694dcc040bdcd25d1a2851a969526083d0f21c50946fef035e",
+        "model.mps": "db2e2590c94038a026d777776c4e8b19f3335a875d9ebb631f30567cfce9dce5",
         "shots.txt": "a42e00a2cff01d2d512a9b3fe82d8409d72b0619ddf985322b3f75bc3435d0c8",
-        "losses.csv": "629abc5752d884d209dc4f30149b3e7c36ced2561bd0744cac1f19189fb04e72",
+        "losses.csv": "57200203bf72c9af6526b2b6943c088f0e7430274f349b3bafdceb1f306fed40",
         "run.cfg": "1e93623a42dfb290d1ea2fbaf747da02a37a0df06ec1fb4b9db54911703c8ca1",
     },
 }
 
 GOLDEN_VIRTUAL = {
-    "calibration.txt": "1b0494da4a8b639d03dd8760170308a0196b8ad8316b436b24067a79dac7a97b",
-    "virtual_00/history.csv": "90b84b5fde4e0406e2d55fef83402b523ae3a8b852976c447e5a3e433caff1e1",
-    "virtual_01/history.csv": "ad49e36689538dc79e509287f92a7cecaa47c2e70289e8a8d295ac177dfc5ba8",
+    "calibration.txt": "e6ed2ddc8ad8ffd5df123a8c83cffc4729bae87f3efa23c8a865d6122ac41ee6",
+    "virtual_00/history.csv": "d6bb9d88e21436230a9d4195296c3bdcfe19551e105d0ed4393a19d2d55ee65f",
+    "virtual_01/history.csv": "ab28491c42057f02710c9d473a218651b33af9077b97c4dcec81106dd0fa7455",
 }
 
 # the protocol of _config in the flat format, for the CLI's virtual command
@@ -136,7 +136,8 @@ def test_artifacts_match_golden_hashes(name, tmp_path):
     assert artifact_hashes(name, tmp_path) == GOLDEN[name]
 
 
-def test_w6_hashes_hold_with_one_blas_thread(tmp_path):
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_hashes_hold_with_one_blas_thread(name, tmp_path):
     # parallel runs rely on this: a worker process has one BLAS thread, its
     # caller as many as it inherited, and both must give the same bytes
     env = dict(
@@ -145,12 +146,12 @@ def test_w6_hashes_hold_with_one_blas_thread(tmp_path):
         OMP_NUM_THREADS="1",
         PYTHONPATH=os.pathsep.join([str(Path(mpstomo.__file__).parents[1]), str(Path(__file__).parent)]),
     )
-    code = "import json, sys, test_golden; print(json.dumps(test_golden.artifact_hashes('w6', sys.argv[1])))"
+    code = "import json, sys, test_golden; print(json.dumps(test_golden.artifact_hashes(*sys.argv[1:])))"
     done = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path)],
+        [sys.executable, "-c", code, name, str(tmp_path)],
         env=env, capture_output=True, text=True, timeout=300, check=True,
     )
-    assert json.loads(done.stdout.splitlines()[-1]) == GOLDEN["w6"]
+    assert json.loads(done.stdout.splitlines()[-1]) == GOLDEN[name]
 
 
 def test_virtual_artifacts_match_golden_hashes(tmp_path):

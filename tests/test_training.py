@@ -18,10 +18,14 @@ from mpstomo import (
     w_state,
 )
 from mpstomo import training
-from mpstomo.mps import max_canonical_defect
+from mpstomo.mps import max_canonical_defect, outcome_indices
 from mpstomo.oracle import DenseState, dense_probability
 
 from conftest import all_z, bond_objective, one_shot_dataset
+
+# one merged shape on each side of training._FUSED_MAX: the first gets its
+# amplitudes from the fused shot matrix, the second from the two-stage product
+KERNEL_SHAPES = [(2, 2, 2, 2), (4, 2, 2, 4)]
 
 
 def product_state(n):
@@ -132,6 +136,68 @@ class TestTwoSiteGradient:
         point = obj.point(merged)
         assert obj.loss(merged, point) == obj.loss(merged)
         assert np.array_equal(obj.gradient(merged, point), obj.gradient(merged))
+
+
+def kernel_objective(shape, lam, rng):
+    """The objective at bond 2 of a random N=6 qubit model whose merged
+    tensor has ``shape``, over 80 shots of a random target; with its merged
+    tensor, the model and the shots."""
+    model = random_init(6, 2, shape[0], seed=11)
+    ds = measure_batch(random_target(6, 2, seed=3), 80, 0.0, rng)
+    obj, merged = bond_objective(model, 2, ds, lam)
+    assert merged.shape == shape
+    assert (obj._fused is not None) == (merged.size <= training._FUSED_MAX)
+    return obj, merged, model, ds
+
+
+def shape_id(shape):
+    return "x".join(map(str, shape))
+
+
+class TestBondKernels:
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=shape_id)
+    def test_probabilities_match_dense_oracle(self, shape, rng):
+        obj, merged, model, ds = kernel_objective(shape, 0.0, rng)
+        dense = DenseState.from_mps(model)
+        expect = np.array([
+            dense_probability(dense, (ds.thetas[i], ds.phis[i]), ds.spin - ds.outcome_indices[i])
+            for i in range(len(ds))
+        ])
+        _, _, probs, _ = obj.point(merged)
+        np.testing.assert_allclose(probs, expect, rtol=1e-10)
+        assert obj.loss(merged) == pytest.approx(-np.log(expect).mean(), abs=1e-12)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=shape_id)
+    def test_gradient_matches_finite_differences(self, shape, lam, rng):
+        obj, merged, _, _ = kernel_objective(shape, lam, rng)
+        grad = obj.gradient(merged)
+        rel = np.linalg.norm(fd_gradient(obj, merged) - grad) / np.linalg.norm(grad)
+        assert rel < 1e-5
+
+    @pytest.mark.parametrize("fused_max", [16, 0], ids=["fused", "two_stage"])
+    def test_clamped_shots_drop_out_of_the_gradient(self, fused_max, monkeypatch):
+        # |up up up> in z gives one shot probability 0, so it is clamped; in x
+        # every outcome has probability 1/8
+        monkeypatch.setattr(training, "_FUSED_MAX", fused_max)
+        z, x = np.zeros(3), np.full(3, np.pi / 2)
+        shots = [(z, [0.5, 0.5, 0.5]), (x, [0.5, -0.5, 0.5]), (z, [0.5, -0.5, 0.5]),
+                 (x, [-0.5, -0.5, 0.5]), (z, [0.5, 0.5, 0.5])]
+        live = shots[:2] + shots[3:]
+
+        def objective(rows):
+            ds = Dataset(3, 2)
+            ds.extend_raw(
+                np.array([t for t, _ in rows]), np.zeros((len(rows), 3)),
+                np.array([outcome_indices(ms, 2) for _, ms in rows]),
+            )
+            return bond_objective(product_state(3), 0, ds, 0.0)
+
+        obj, merged = objective(shots)
+        live_obj, _ = objective(live)
+        grad = obj.gradient(merged)
+        assert obj.clamped_last == 1
+        np.testing.assert_allclose(grad, 4 / 5 * live_obj.gradient(merged), atol=1e-12)
 
 
 class TestBondStep:
