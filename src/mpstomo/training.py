@@ -204,7 +204,8 @@ class BondObjective:
         # conj(la)^T diag(w) conj(rb) with w = 1 / (|V| conj(amp)), formed as
         # the conjugate of la^T diag(conj(w)) rb.  The sum over shots stays the
         # inner dimension of a matrix-matrix product, whose bytes do not
-        # depend on the BLAS thread count; those of a matrix-vector product do.
+        # depend on the BLAS thread count; a matrix-vector product summing
+        # over shots gives other bytes at other thread counts.
         grad = ((self._lat * wc) @ self._rbt.T).conj()
         theta = merged.reshape(grad.shape)
         # the likelihood's and the penalty's terms along M, in one update

@@ -175,7 +175,7 @@ class TestBondKernels:
         rel = np.linalg.norm(fd_gradient(obj, merged) - grad) / np.linalg.norm(grad)
         assert rel < 1e-5
 
-    @pytest.mark.parametrize("fused_max", [16, 0], ids=["fused", "two_stage"])
+    @pytest.mark.parametrize("fused_max", [training._FUSED_MAX, 0], ids=["fused", "two_stage"])
     def test_clamped_shots_drop_out_of_the_gradient(self, fused_max, monkeypatch):
         # |up up up> in z gives one shot probability 0, so it is clamped; in x
         # every outcome has probability 1/8
