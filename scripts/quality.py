@@ -41,7 +41,9 @@ from pathlib import Path
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
-from mpstomo import ExperimentConfig, TargetSpec, TrainConfig, estimate_fidelity, fit_power_law  # noqa: E402
+from mpstomo import (  # noqa: E402
+    ExperimentConfig, TargetSpec, TrainConfig, estimate_fidelity, fit_power_law,
+)
 from mpstomo import runner  # noqa: E402
 from mpstomo.estimation import run_virtual  # noqa: E402
 from mpstomo.mps import _gaussian_chain  # noqa: E402
@@ -139,7 +141,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out")
     args = parser.parse_args(argv)
     sets = args.sets.split(",")
-    result = {"command": "PYTHONPATH=src python3 scripts/quality.py " + " ".join(argv or sys.argv[1:])}
+    result = {"command": " ".join(["PYTHONPATH=src python3 scripts/quality.py", *(argv or sys.argv[1:])])}
     with ProcessPoolExecutor(2, mp_context=get_context("spawn")) as pool:
         if "w8" in sets:
             runs = list(pool.map(w8_run, W8_SEEDS + W8_EXTRA))

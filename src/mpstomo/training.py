@@ -145,8 +145,10 @@ class BondObjective:
         self.shape = (d1, q, q, d2)
         self.penalty_weight = float(penalty_weight)
         # rank-1 shot environments, shots last: la^T (D1 q, |V|), rb^T (q D2, |V|)
-        self._lat = np.multiply(left.T[:, None, :], row_a.T[None, :, :], order="C").reshape(d1 * q, count)
-        self._rbt = np.multiply(row_b.T[:, None, :], right.T[None, :, :], order="C").reshape(q * d2, count)
+        la_t = np.multiply(left.T[:, None, :], row_a.T[None, :, :], order="C")
+        rb_t = np.multiply(row_b.T[:, None, :], right.T[None, :, :], order="C")
+        self._lat = la_t.reshape(d1 * q, count)
+        self._rbt = rb_t.reshape(q * d2, count)
         self._fused = None
         if d1 * q * q * d2 <= _FUSED_MAX:
             # K, the row-wise la (x) rb, filled through its shots-last view.  K
