@@ -38,12 +38,6 @@ _STEP_SHRINK = 0.5
 _GRAD_STEPS = 10
 # upper bound of the noise-scaled truncation threshold (see _bond_eta)
 _ETA_CAP = 0.12
-# a bond whose merged tensor has at most this many entries gets its amplitudes
-# from one product with the fused shot matrix K, (|V|, D1 q q D2).  Measured
-# per bond visit against the two-stage product: K wins at 8 and 16 entries,
-# breaks even near 24 and loses from 32 on, where building and reading K
-# costs more than it saves.
-_FUSED_MAX = 16
 
 
 @dataclass
@@ -149,20 +143,9 @@ class BondObjective:
         rb_t = np.multiply(row_b.T[:, None, :], right.T[None, :, :], order="C")
         self._lat = la_t.reshape(d1 * q, count)
         self._rbt = rb_t.reshape(q * d2, count)
-        self._fused = None
-        if d1 * q * q * d2 <= _FUSED_MAX:
-            # K, the row-wise la (x) rb, filled through its shots-last view.  K
-            # stays row-major, one row per shot: K @ m then has the same bytes
-            # at any BLAS thread count, which the shots-last K^T's product
-            # with m does not (it differed between one and two threads)
-            fused = np.empty((count, d1 * q, q * d2), dtype=np.complex128)
-            np.multiply(self._lat[:, None, :], self._rbt[None, :, :], out=fused.transpose(1, 2, 0))
-            self._fused = fused.reshape(count, d1 * q * q * d2)
         self.clamped_last = 0
 
     def amplitudes(self, merged) -> np.ndarray:
-        if self._fused is not None:
-            return self._fused @ merged.ravel()
         d1, q, _, d2 = self.shape
         # la @ M2 summed row-wise against rb, with shots along the columns
         return (merged.reshape(d1 * q, q * d2).T @ self._lat * self._rbt).sum(axis=0)
@@ -272,15 +255,14 @@ class _SweepEngine:
         for j in range(self.n - 1, 1, -1):
             self.right[j] = _contract_right(self.tensors[j], self.rows[j], self.right[j + 1])
 
-    def _train_bond(self, k, lam, move, visits=1):
+    def _train_bond(self, k, lam, move):
         cfg = self.cfg
         obj = BondObjective(self.left[k], self.rows[k], self.rows[k + 1], self.right[k + 2], lam)
-        for _ in range(visits):
-            merged = _optimize_bond(obj, merge_two_site(self.tensors[k], self.tensors[k + 1]), cfg)
-            merged /= np.linalg.norm(merged)
-            d1, q, _, d2 = merged.shape
-            eta = _bond_eta(cfg, d1, q, d2, obj.count)
-            self.tensors[k], self.tensors[k + 1], _ = split_two_site(merged, cfg.d_cap, eta, move)
+        merged = _optimize_bond(obj, merge_two_site(self.tensors[k], self.tensors[k + 1]), cfg)
+        merged /= np.linalg.norm(merged)
+        d1, q, _, d2 = merged.shape
+        eta = _bond_eta(cfg, d1, q, d2, obj.count)
+        self.tensors[k], self.tensors[k + 1], _ = split_two_site(merged, cfg.d_cap, eta, move)
 
     def sweep(self, lam) -> LossReport:
         """One full left-to-right-to-left pass at penalty weight ``lam``,
@@ -290,12 +272,12 @@ class _SweepEngine:
         for k in range(last):
             self._train_bond(k, lam, "right")
             self.left[k + 1] = _contract_left(self.left[k], t[k], rows[k])
-        # the turn: the last bond is trained twice in a row on the same
-        # environments, so both visits share one objective
-        self._train_bond(last, lam, "left", visits=2)
+        # the turn: the last bond is trained again next, on the same environments
+        self._train_bond(last, lam, "left")
         for k in range(last, 0, -1):
+            self._train_bond(k, lam, "left")
             self.right[k + 1] = _contract_right(t[k + 1], rows[k + 1], self.right[k + 2])
-            self._train_bond(k - 1, lam, "left")
+        self._train_bond(0, lam, "left")
         penalty = self.to_mps().renyi2_entropy(0)
         return LossReport(_chain_nll(self.tensors, self.rows), penalty, lam)
 

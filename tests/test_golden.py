@@ -42,39 +42,39 @@ RUNS = {
 
 GOLDEN = {
     "random6_d3": {
-        "history.csv": "435aec2e3ace6bc3143ef7dec65e2a2cd5339d46cde62de59d34765d31bf00af",
-        "model.mps": "b54c43e7f1a0f0651f3db7e2c071222e7a9340a884f5288eed8857464d113d56",
+        "history.csv": "3929082a305b0fe97041459691927337dfcf38263a6cc942b21e820da88b6dd3",
+        "model.mps": "da881e31ac746f6dcb31446d5aba13e0780787e282cb5e1a42d1b3465734a523",
         "shots.txt": "c699232f89989e7eb7e7ad33b7bfd5badeebfa14fe0cd2916911d76846af5d77",
-        "losses.csv": "c0e89ecaa033c7c9976a0ba97507f0da115a855828d5837e7078cdbad8edb971",
+        "losses.csv": "bab07144127879af8f599c6f55c928b69041f5edddf3e4422d516368f2754e47",
         "run.cfg": "34823adaf47b80d9a0b80cce9d1264ccebacbf0d053c5a05b1ad3da5c1e3918f",
     },
     "w6": {
-        "history.csv": "47380c973fd1eaf5c4b07a83ac215e566911b19a2bd2bbb6b3d8728f669651b6",
-        "model.mps": "a9f118b6edd018a224622ee071c89b1f218717d6c015d1b42844414d6981ef47",
+        "history.csv": "507b9554e0dfd71469f0e65c6c397077d89ac705c9e0afebd810898e5caf2981",
+        "model.mps": "6b9124e36d7b40634bc62c1bc4bbe00397487772427722578ea04ce7647cb039",
         "shots.txt": "bacbf2595b3a544d4afc50d9067d38b59720487a960ed5c8377ded477a442a8f",
-        "losses.csv": "03436d59186bba3246f18fb731f9448dc7dd5d5aa99d2d30fdf6dfaf75c129a8",
+        "losses.csv": "f58ddd19c9763886b385882ea06a5e33e871cf5a06d444237619fd5639465803",
         "run.cfg": "97116328c7e569425eebc19fb3548f8e6854643ee25bb852168daa04b1159986",
     },
     "w8_seed13000": {
-        "history.csv": "11fea563198f23db456fe46c5a7ab24ca49fcacc1b6385ab9972ab4ab5f60ebd",
-        "model.mps": "b2faf5a9ac13f6ed1243dadd40dfdc5193dfea0ddeeb4d3d669dd10e6cd73de9",
+        "history.csv": "acd7b1efca7ffb7762d6819a8fac82c4650c061fc3e91114d4294f64239cceac",
+        "model.mps": "e8a127e7c52935b5cdcc6b4bd3b3406744f9edcb2f4dbfdf4bbc55ede6560d49",
         "shots.txt": "1643bae58ccb4721cc9130dc39f1b2c10dd0387da94612fe1321719232ba50ba",
-        "losses.csv": "acdf768308a2ff7e5d2fdb3288ad7055d0e57175cb03ecdc18c1ad54d57baecd",
+        "losses.csv": "eae2ad70d7396a673f5f4f22487691039014af478de11173e0ecc74626967ece",
         "run.cfg": "ca82f33288d1f57f45459fd9516d15a740de6f21081ad2d6b1e6feeac5a5d5f9",
     },
     "w8_seed13002": {
-        "history.csv": "35fa4e3857208a694dcc040bdcd25d1a2851a969526083d0f21c50946fef035e",
-        "model.mps": "db2e2590c94038a026d777776c4e8b19f3335a875d9ebb631f30567cfce9dce5",
+        "history.csv": "276dc581aef7dc1849010496cc51c7c643609ff7ca65168ebe30d8b33b4b2179",
+        "model.mps": "66fe6204727b26be9ecdb74d8dfc3b4e73f617b3c16519f82018944ca29681d6",
         "shots.txt": "a42e00a2cff01d2d512a9b3fe82d8409d72b0619ddf985322b3f75bc3435d0c8",
-        "losses.csv": "57200203bf72c9af6526b2b6943c088f0e7430274f349b3bafdceb1f306fed40",
+        "losses.csv": "629abc5752d884d209dc4f30149b3e7c36ced2561bd0744cac1f19189fb04e72",
         "run.cfg": "1e93623a42dfb290d1ea2fbaf747da02a37a0df06ec1fb4b9db54911703c8ca1",
     },
 }
 
 GOLDEN_VIRTUAL = {
-    "calibration.txt": "e6ed2ddc8ad8ffd5df123a8c83cffc4729bae87f3efa23c8a865d6122ac41ee6",
-    "virtual_00/history.csv": "d6bb9d88e21436230a9d4195296c3bdcfe19551e105d0ed4393a19d2d55ee65f",
-    "virtual_01/history.csv": "ab28491c42057f02710c9d473a218651b33af9077b97c4dcec81106dd0fa7455",
+    "calibration.txt": "75b25fc67ce0be8892fdc7330d18101a590e2aa9eb733f4813fe16c9b920e259",
+    "virtual_00/history.csv": "b6a352009d51bfad2f68621ce72a412f5a92746892e2017e288f1c26d91fafcf",
+    "virtual_01/history.csv": "1a6940e00af053588d06d6a7f0a7705a55f8f1fbd2566e7eeb8870861762ce91",
 }
 
 # the protocol of _config in the flat format, for the CLI's virtual command

@@ -23,10 +23,6 @@ from mpstomo.oracle import DenseState, dense_probability
 
 from conftest import all_z, bond_objective, one_shot_dataset
 
-# one merged shape on each side of training._FUSED_MAX: the first gets its
-# amplitudes from the fused shot matrix, the second from the two-stage product
-KERNEL_SHAPES = [(2, 2, 2, 2), (4, 2, 2, 4)]
-
 
 def product_state(n):
     up = np.array([1.0, 0.0]).reshape(1, 2, 1)
@@ -86,21 +82,24 @@ class TestTwoSiteGradient:
     @pytest.mark.parametrize("lam", [0.0, 0.1])
     def test_matches_finite_differences(self, lam):
         rng = np.random.default_rng(77)
-        checked = 0
+        cases = []
         for trial in range(10):
             n = int(rng.integers(2, 6))
             d = int(rng.integers(2, 5))
             target = random_target(n, min(d, 2 ** (n // 2)), seed=trial)
             ds = measure_batch(target, 50, 0.0, rng)
             model = random_init(n, 2, d, seed=trial + 50)
-            bond = int(rng.integers(0, n - 1))
+            cases.append((f"trial {trial}", model, int(rng.integers(0, n - 1)), ds))
+        # the (4, 2, 2, 4) bond of a random N=6 model, wider than the trials reach
+        ds = measure_batch(random_target(6, 2, seed=3), 50, 0.0, rng)
+        cases.append(("N=6 D=4", random_init(6, 2, 4, seed=11), 2, ds))
+        for name, model, bond, ds in cases:
             obj, merged = bond_objective(model, bond, ds, lam)
             grad = obj.gradient(merged)
             fd = fd_gradient(obj, merged)
             rel = np.linalg.norm(fd - grad) / np.linalg.norm(grad)
-            assert rel < 1e-5, f"trial {trial}: rel={rel}"
-            checked += 1
-        assert checked == 10
+            assert rel < 1e-5, f"{name}: rel={rel}"
+        assert merged.shape == (4, 2, 2, 4)
 
     def test_norm_direction_component_vanishes(self, rng):
         target = random_target(4, 2, seed=9)
@@ -138,26 +137,13 @@ class TestTwoSiteGradient:
         assert np.array_equal(obj.gradient(merged, point), obj.gradient(merged))
 
 
-def kernel_objective(shape, lam, rng):
-    """The objective at bond 2 of a random N=6 qubit model whose merged
-    tensor has ``shape``, over 80 shots of a random target; with its merged
-    tensor, the model and the shots."""
-    model = random_init(6, 2, shape[0], seed=11)
-    ds = measure_batch(random_target(6, 2, seed=3), 80, 0.0, rng)
-    obj, merged = bond_objective(model, 2, ds, lam)
-    assert merged.shape == shape
-    assert (obj._fused is not None) == (merged.size <= training._FUSED_MAX)
-    return obj, merged, model, ds
-
-
-def shape_id(shape):
-    return "x".join(map(str, shape))
-
-
-class TestBondKernels:
-    @pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=shape_id)
-    def test_probabilities_match_dense_oracle(self, shape, rng):
-        obj, merged, model, ds = kernel_objective(shape, 0.0, rng)
+class TestBondObjective:
+    @pytest.mark.parametrize("bond", [0, 2])
+    def test_probabilities_match_dense_oracle(self, bond, rng):
+        # a random N=6 model at D=4: bond 0 merges (1, 2, 2, 4), bond 2 (4, 2, 2, 4)
+        model = random_init(6, 2, 4, seed=11)
+        ds = measure_batch(random_target(6, 2, seed=3), 80, 0.0, rng)
+        obj, merged = bond_objective(model, bond, ds, 0.0)
         dense = DenseState.from_mps(model)
         expect = np.array([
             dense_probability(dense, (ds.thetas[i], ds.phis[i]), ds.spin - ds.outcome_indices[i])
@@ -167,19 +153,9 @@ class TestBondKernels:
         np.testing.assert_allclose(probs, expect, rtol=1e-10)
         assert obj.loss(merged) == pytest.approx(-np.log(expect).mean(), abs=1e-12)
 
-    @pytest.mark.parametrize("lam", [0.0, 0.1])
-    @pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=shape_id)
-    def test_gradient_matches_finite_differences(self, shape, lam, rng):
-        obj, merged, _, _ = kernel_objective(shape, lam, rng)
-        grad = obj.gradient(merged)
-        rel = np.linalg.norm(fd_gradient(obj, merged) - grad) / np.linalg.norm(grad)
-        assert rel < 1e-5
-
-    @pytest.mark.parametrize("fused_max", [training._FUSED_MAX, 0], ids=["fused", "two_stage"])
-    def test_clamped_shots_drop_out_of_the_gradient(self, fused_max, monkeypatch):
+    def test_clamped_shots_drop_out_of_the_gradient(self):
         # |up up up> in z gives one shot probability 0, so it is clamped; in x
         # every outcome has probability 1/8
-        monkeypatch.setattr(training, "_FUSED_MAX", fused_max)
         z, x = np.zeros(3), np.full(3, np.pi / 2)
         shots = [(z, [0.5, 0.5, 0.5]), (x, [0.5, -0.5, 0.5]), (z, [0.5, -0.5, 0.5]),
                  (x, [-0.5, -0.5, 0.5]), (z, [0.5, 0.5, 0.5])]
