@@ -8,10 +8,10 @@ serially in the caller.  A worker is a fresh interpreter running
 ``serve``: it imports numpy and mpstomo only, from the caller's package
 directory, with the BLAS thread variables set to 1 in its own
 environment, so every run gets one BLAS thread; it reads pickled calls
-from its stdin and writes pickled results to its stdout.  Runs are handed
-out one at a time to whichever worker is free, and results come back in
-argument order, so the result is that of a serial loop whatever worker
-ran each run.
+from its stdin and writes pickled results to its stdout.  The caller's one
+thread hands each idle worker the next run and waits on the busy workers'
+stdout pipes with ``select``, on a POSIX system (Linux, macOS); results come
+back in argument order, as from a serial loop, whatever worker ran each run.
 
 Workers are fresh interpreters rather than a ``multiprocessing`` pool: a
 spawn pool re-executes the caller's main script in every worker, which
@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import os
 import pickle
+import select
 import signal
 import subprocess
 import sys
-import threading
 import traceback
 from pathlib import Path
 
@@ -46,7 +46,7 @@ class _WorkerTraceback(Exception):
 
 
 class _Worker:
-    """A fresh interpreter running ``serve``, fed one call at a time."""
+    """A fresh interpreter running ``serve``, sent one call at a time."""
 
     def __init__(self):
         env = dict(os.environ, **dict.fromkeys(_BLAS_THREAD_VARS, "1"))
@@ -55,19 +55,26 @@ class _Worker:
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env,
         )
 
-    def call(self, fn, arg):
-        """``fn(arg)`` in the worker; an exception it raises is raised here."""
+    def send(self, fn, arg):
+        """Start ``fn(arg)`` in the worker."""
         try:
             pickle.dump((fn, arg), self.proc.stdin, pickle.HIGHEST_PROTOCOL)
             self.proc.stdin.flush()
+        except OSError as exc:  # the worker has exited
+            raise self._exited() from exc
+
+    def receive(self):
+        """The result of the call sent last; an exception it raised is raised here."""
+        try:
             ok, value, tb = pickle.load(self.proc.stdout)
         except (OSError, EOFError, pickle.UnpicklingError) as exc:
-            raise ChildProcessError(
-                f"worker process exited with code {self.proc.wait()}"
-            ) from exc
+            raise self._exited() from exc
         if not ok:
             raise value from _WorkerTraceback(tb)
         return value
+
+    def _exited(self):
+        return ChildProcessError(f"worker process exited with code {self.proc.wait()}")
 
     def close(self):
         """Close both pipes; the worker exits when it next reads or writes."""
@@ -76,40 +83,6 @@ class _Worker:
         except OSError:  # the worker is gone and the pipe was full
             pass
         self.proc.stdout.close()
-
-
-class _Schedule:
-    """Hands out argument indices in order, and collects results and errors."""
-
-    def __init__(self, fn, args):
-        self.fn, self.args = fn, args
-        self.results = [None] * len(args)
-        self.errors = {}
-        self._next = 0
-        self._lock = threading.Lock()
-
-    def take(self):
-        """The next index to run; None when all are taken or a run failed."""
-        with self._lock:
-            if self.errors or self._next == len(self.args):
-                return None
-            self._next += 1
-            return self._next - 1
-
-    def run(self, i, call):
-        try:
-            self.results[i] = call(self.fn, self.args[i])
-        except Exception as exc:  # re-raised by map_runs, in run order
-            with self._lock:
-                self.errors[i] = exc
-
-
-def _feed(worker, schedule):
-    try:
-        while (i := schedule.take()) is not None:
-            schedule.run(i, worker.call)
-    finally:
-        worker.close()
 
 
 def _cpu_count() -> int:
@@ -137,29 +110,41 @@ def map_runs(fn, args) -> list:
     n_workers = min(len(args), _cpu_count())
     if n_workers < 2:
         return [fn(a) for a in args]
-    schedule = _Schedule(fn, args)
-    workers, threads = [], []
+    results, errors = [None] * len(args), {}
+    workers = []
     try:
         for _ in range(n_workers):
             workers.append(_Worker())
-            feeder = threading.Thread(target=_feed, args=(workers[-1], schedule), daemon=True)
-            threads.append(feeder)
-            feeder.start()
-        for t in threads:  # inside the try: an interrupt while waiting kills
-            t.join()
+        idle, busy = list(workers), {}  # busy: a worker's stdout -> (worker, run)
+        runs = iter(range(len(args)))
+        while True:
+            while idle and not errors and (i := next(runs, None)) is not None:
+                worker = idle.pop()
+                try:
+                    worker.send(fn, args[i])
+                    busy[worker.proc.stdout] = worker, i
+                except Exception as exc:  # re-raised below, in run order
+                    errors[i] = exc
+            if not busy:
+                break
+            for out in select.select(busy, [], [])[0]:
+                worker, i = busy.pop(out)
+                try:
+                    results[i] = worker.receive()
+                except Exception as exc:
+                    errors[i] = exc
+                idle.append(worker)
     except BaseException:  # an interrupt included: kill, reap, re-raise
         for w in workers:
             w.proc.kill()
         raise
     finally:
-        for t in threads:
-            t.join()
         for w in workers:
             w.close()
             w.proc.wait()
-    if schedule.errors:
-        raise schedule.errors[min(schedule.errors)]
-    return schedule.results
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def serve() -> None:

@@ -117,7 +117,8 @@ def run_tomography(config: ExperimentConfig):
             consecutive = 0
         if config.stop_on_threshold and consecutive >= 2:
             break
-        batch = max(1, int(round(batch * config.batch_growth)))
+        # capped before rounding: a large batch_growth overflows to inf
+        batch = max(1, int(round(min(batch * config.batch_growth, config.max_replicas))))
         if config.batch_max > 0:
             batch = min(batch, config.batch_max)
     if config.output_dir is not None:

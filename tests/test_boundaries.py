@@ -154,7 +154,7 @@ def _stage_count(cfg) -> int:
     total, batch, stages = 0, cfg.batch_initial, 0
     while total < cfg.max_replicas and stages < 100:
         total += min(batch, cfg.max_replicas - total)
-        batch = max(1, int(round(batch * cfg.batch_growth)))
+        batch = max(1, int(round(min(batch * cfg.batch_growth, cfg.max_replicas))))
         if cfg.batch_max > 0:
             batch = min(batch, cfg.batch_max)
         stages += 1

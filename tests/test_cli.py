@@ -4,6 +4,7 @@ import pytest
 
 from mpstomo import MatrixProductState, load_mps, w_state
 from mpstomo.cli import main
+from mpstomo.runner import read_history
 
 
 def write_cfg(path, text):
@@ -86,6 +87,17 @@ class TestTomoCommand:
             "--seed", "4", "--out", str(tmp_path / "r"),
         ])
         assert rc == 2
+
+    @pytest.mark.parametrize("growth", ["1e306", "1e308"])
+    def test_overflowing_batch_growth_spends_the_budget_next(self, tmp_path, growth):
+        cfg = write_cfg(tmp_path / "exp.cfg", BASE_CFG + "stop_on_threshold = false\n")
+        out = tmp_path / "r"
+        rc = main([
+            "tomo", "--config", cfg, "--set", f"batch_growth={growth}",
+            "--seed", "4", "--out", str(out),
+        ])
+        assert rc == 0
+        assert [rec.replicas for rec in read_history(out / "history.csv")] == [20, 150]
 
     def test_set_target_field_updates_the_config_target(self, tmp_path):
         cfg = write_cfg(tmp_path / "exp.cfg", BASE_CFG)

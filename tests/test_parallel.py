@@ -106,9 +106,11 @@ def test_worker_error_keeps_its_class():
     worker = parallel._Worker()
     try:
         with pytest.raises(ParameterError, match="no stages") as info:
-            worker.call(runner._suite_run, _small(max_replicas=0))
+            worker.send(runner._suite_run, _small(max_replicas=0))
+            worker.receive()
         assert "run_tomography" in str(info.value.__cause__)
-        assert worker.call(runner._suite_run, _small()) is not None
+        worker.send(runner._suite_run, _small())
+        assert worker.receive() is not None
     finally:
         worker.close()
         assert worker.proc.wait(timeout=60) == 0
@@ -139,6 +141,25 @@ def test_worker_that_dies_mid_run_raises(started):
     t0 = time.monotonic()
     with pytest.raises(ChildProcessError, match="^worker process exited with code 3$"):
         parallel.map_runs(os._exit, [3, 3, 0])
+    assert time.monotonic() - t0 < 10
+    assert started and all(w.proc.returncode is not None for w in started)
+
+
+def test_worker_that_exited_before_its_first_run_raises(started, monkeypatch):
+    # a send to a worker that is gone fails its run as a death mid-run does
+    monkeypatch.setattr(parallel, "_cpu_count", lambda: 2)
+    start = parallel._Worker
+
+    def start_and_kill():
+        worker = start()
+        worker.proc.kill()
+        worker.proc.wait()
+        return worker
+
+    monkeypatch.setattr(parallel, "_Worker", start_and_kill)
+    t0 = time.monotonic()
+    with pytest.raises(ChildProcessError, match="^worker process exited with code -9$"):
+        parallel.map_runs(str, [1, 2, 3])
     assert time.monotonic() - t0 < 10
     assert started and all(w.proc.returncode is not None for w in started)
 
