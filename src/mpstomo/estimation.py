@@ -36,6 +36,7 @@ class StageRecord:
     c_est: float | None = None
     alpha_real: float | None = None
     alpha_succ: float | None = None
+    sweeps: int | None = None  # last: histories written before it end at alpha_succ
 
 
 @dataclass

@@ -88,7 +88,8 @@ def run_tomography(config: ExperimentConfig):
         count = min(batch, config.max_replicas - len(dataset))
         dataset.extend(measure_batch(target, count, config.noise_epsilon, shot_rng))
         model, loss_hist = train_stage(model, dataset, config.train)
-        rec = StageRecord(replicas=len(dataset), nll=loss_hist[-1].nll)
+        # the last loss report closes the stage; the others are its sweeps
+        rec = StageRecord(replicas=len(dataset), nll=loss_hist[-1].nll, sweeps=len(loss_hist) - 1)
         if not config.blind:
             rec.f_true, rec.r_real = model.fidelity_distance(target)
         if prev_model is not None:
@@ -181,11 +182,12 @@ def read_history(path) -> list[StageRecord]:
         first = next(reader)
     except StopIteration:
         raise FormatError(f"{path}: line 1: empty history") from None
-    if tuple(first) != header:
+    # a history written before StageRecord.sweeps has every column but that last one
+    if tuple(first) not in (header, header[:-1]):
         raise FormatError(f"{path}: line 1: unexpected header {first}")
     for ln, row in enumerate(reader, start=2):
-        if len(row) != len(header):
-            raise FormatError(f"{path}: line {ln}: expected {len(header)} fields")
+        if len(row) != len(first):
+            raise FormatError(f"{path}: line {ln}: expected {len(first)} fields")
         values = {}
         for (name, typ), raw in zip(types.items(), row[1:]):
             if raw == "":

@@ -1,4 +1,5 @@
 import struct
+from dataclasses import replace
 
 import pytest
 
@@ -133,6 +134,17 @@ class TestTomoCommand:
         for name in ("history.csv", "model.mps", "shots.txt", "losses.csv"):
             assert (again / name).read_bytes() == (first / name).read_bytes(), name
 
+    def test_history_records_each_stages_sweeps(self, tmp_path):
+        cfg = write_cfg(tmp_path / "exp.cfg", BASE_CFG)
+        out = tmp_path / "run"
+        assert main(["tomo", "--config", cfg, "--seed", "4", "--out", str(out)]) == 0
+        assert (out / "history.csv").read_text().splitlines()[0].endswith(",alpha_succ,sweeps")
+        sweeps = [rec.sweeps for rec in read_history(out / "history.csv")]
+        assert all(1 <= n <= 4 for n in sweeps), sweeps  # train.sweeps_per_stage = 4
+        # losses.csv holds the last stage's sweeps and a closing lambda = 0 row
+        loss_rows = (out / "losses.csv").read_text().splitlines()[1:]
+        assert sweeps[-1] == len(loss_rows) - 1
+
     def test_unnormalized_target_exit_code(self, tmp_path, capsys):
         save_scaled_w4(tmp_path / "scaled.mps")
         cfg = write_cfg(tmp_path / "exp.cfg", BASE_CFG)
@@ -221,6 +233,40 @@ class TestReportCommand:
         assert not (tmp_path / "rep").exists()
         assert main(["fit", "--history", str(history)]) == 2
         assert f"{history}: no stages" in capsys.readouterr().err
+
+    def _fit_ready_run(self, tmp_path):
+        cfg = write_cfg(
+            tmp_path / "exp.cfg", BASE_CFG + "stop_on_threshold = false\nmax_replicas = 800\n"
+        )
+        run = tmp_path / "r"
+        assert main(["tomo", "--config", cfg, "--seed", "4", "--out", str(run)]) == 0
+        return run
+
+    def test_history_without_sweeps_column_reads(self, tmp_path):
+        # a run directory written before history.csv gained its sweeps column
+        run = self._fit_ready_run(tmp_path)
+        history = run / "history.csv"
+        records = read_history(history)
+        lines = history.read_text().splitlines()
+        assert lines[0].endswith(",alpha_succ,sweeps")
+        history.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in lines))
+        assert read_history(history) == [replace(rec, sweeps=None) for rec in records]
+        assert main(["fit", "--history", str(history), "--tail", "1.0"]) == 0
+        assert main(["report", "--runs", str(run), "--out", str(tmp_path / "rep")]) == 0
+
+    @pytest.mark.parametrize("position", [1, -1], ids=["second", "second_to_last"])
+    def test_sweeps_column_out_of_place_exit_code(self, tmp_path, capsys, position):
+        run = self._fit_ready_run(tmp_path)
+        history = run / "history.csv"
+        table = [line.split(",") for line in history.read_text().splitlines()]
+        for row in table:
+            row.insert(position, row.pop())
+        history.write_text("".join(",".join(row) + "\n" for row in table))
+        capsys.readouterr()
+        assert main(["fit", "--history", str(history)]) == 2
+        assert f"{history}: line 1: unexpected header" in capsys.readouterr().err
+        assert main(["report", "--runs", str(run), "--out", str(tmp_path / "rep")]) == 2
+        assert f"{history}: line 1: unexpected header" in capsys.readouterr().err
 
     def test_report_empty_dir(self, tmp_path):
         (tmp_path / "empty").mkdir()

@@ -42,28 +42,28 @@ RUNS = {
 
 GOLDEN = {
     "random6_d3": {
-        "history.csv": "3929082a305b0fe97041459691927337dfcf38263a6cc942b21e820da88b6dd3",
+        "history.csv": "26295d7565cd5c7bbefe8af8ef9c3bec48dc7359f01ef8f7fd300b396df8d9d7",
         "model.mps": "da881e31ac746f6dcb31446d5aba13e0780787e282cb5e1a42d1b3465734a523",
         "shots.txt": "c699232f89989e7eb7e7ad33b7bfd5badeebfa14fe0cd2916911d76846af5d77",
         "losses.csv": "bab07144127879af8f599c6f55c928b69041f5edddf3e4422d516368f2754e47",
         "run.cfg": "34823adaf47b80d9a0b80cce9d1264ccebacbf0d053c5a05b1ad3da5c1e3918f",
     },
     "w6": {
-        "history.csv": "507b9554e0dfd71469f0e65c6c397077d89ac705c9e0afebd810898e5caf2981",
+        "history.csv": "2b2c37a27ffc09e070940a7def2aea503c8dba4c454defcfed4e1522d5cdc0b3",
         "model.mps": "6b9124e36d7b40634bc62c1bc4bbe00397487772427722578ea04ce7647cb039",
         "shots.txt": "bacbf2595b3a544d4afc50d9067d38b59720487a960ed5c8377ded477a442a8f",
         "losses.csv": "f58ddd19c9763886b385882ea06a5e33e871cf5a06d444237619fd5639465803",
         "run.cfg": "97116328c7e569425eebc19fb3548f8e6854643ee25bb852168daa04b1159986",
     },
     "w8_seed13000": {
-        "history.csv": "acd7b1efca7ffb7762d6819a8fac82c4650c061fc3e91114d4294f64239cceac",
+        "history.csv": "632b79167fd8a929f0d60aa55cd1195aa2ec5630d9c1820b9877e340d2cba4e4",
         "model.mps": "e8a127e7c52935b5cdcc6b4bd3b3406744f9edcb2f4dbfdf4bbc55ede6560d49",
         "shots.txt": "1643bae58ccb4721cc9130dc39f1b2c10dd0387da94612fe1321719232ba50ba",
         "losses.csv": "eae2ad70d7396a673f5f4f22487691039014af478de11173e0ecc74626967ece",
         "run.cfg": "ca82f33288d1f57f45459fd9516d15a740de6f21081ad2d6b1e6feeac5a5d5f9",
     },
     "w8_seed13002": {
-        "history.csv": "276dc581aef7dc1849010496cc51c7c643609ff7ca65168ebe30d8b33b4b2179",
+        "history.csv": "754fb982de6a5e963ad5673cae7942dfc6943f15ad2e66987416c79f24e1b5e3",
         "model.mps": "66fe6204727b26be9ecdb74d8dfc3b4e73f617b3c16519f82018944ca29681d6",
         "shots.txt": "a42e00a2cff01d2d512a9b3fe82d8409d72b0619ddf985322b3f75bc3435d0c8",
         "losses.csv": "629abc5752d884d209dc4f30149b3e7c36ced2561bd0744cac1f19189fb04e72",
@@ -73,8 +73,8 @@ GOLDEN = {
 
 GOLDEN_VIRTUAL = {
     "calibration.txt": "75b25fc67ce0be8892fdc7330d18101a590e2aa9eb733f4813fe16c9b920e259",
-    "virtual_00/history.csv": "b6a352009d51bfad2f68621ce72a412f5a92746892e2017e288f1c26d91fafcf",
-    "virtual_01/history.csv": "1a6940e00af053588d06d6a7f0a7705a55f8f1fbd2566e7eeb8870861762ce91",
+    "virtual_00/history.csv": "85a37be2131c614dac655264f7ea37b8bb345b922a4473848b59c898847fe72f",
+    "virtual_01/history.csv": "5ffc30a9e33d8f8d9d963a1d223750b77a1a9512c90b5319bd08c919d49f213c",
 }
 
 # the protocol of _config in the flat format, for the CLI's virtual command

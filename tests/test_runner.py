@@ -220,7 +220,7 @@ class TestHistoryIO:
             StageRecord(replicas=50, nll=2.0),
             StageRecord(
                 replicas=100, nll=1.5, r_real=0.2, r_succ=0.1, f_true=0.97,
-                f_est=0.96, c_est=0.2, alpha_real=-0.5, alpha_succ=-1.0,
+                f_est=0.96, c_est=0.2, alpha_real=-0.5, alpha_succ=-1.0, sweeps=4,
             ),
         ]
         path = tmp_path / "history.csv"
@@ -232,7 +232,7 @@ class TestHistoryIO:
         path = tmp_path / "history.csv"
         write_history(path, [StageRecord(replicas=50, nll=2.0)])
         text = path.read_text().splitlines()
-        text.append("1,not_a_number,2.0,,,,,,,")
+        text.append("1,not_a_number,2.0,,,,,,,,")
         path.write_text("\n".join(text) + "\n")
         with pytest.raises(FormatError, match="line 3"):
             read_history(path)
@@ -242,7 +242,7 @@ class TestHistoryIO:
         path = tmp_path / "history.csv"
         write_history(path, [StageRecord(replicas=50, nll=2.0, r_real=0.1)])
         text = path.read_text().splitlines()
-        text.append(f"1,100,1.5,{bad},,,,,,")
+        text.append(f"1,100,1.5,{bad},,,,,,,")
         path.write_text("\n".join(text) + "\n")
         with pytest.raises(FormatError, match="line 3: r_real is not finite"):
             read_history(path)
