@@ -13,8 +13,10 @@ Run from the root of a source checkout.  Four sets, all deterministic:
   0.9 (stuck) and below 0.995, and the median and lowest F.
 * ``w10``: the criterion-4/5 run (W N=10 to 10^4 shots, no early stop) for
   seeds 42-45: the power-law exponents of both distances and, after 8
-  virtual runs (seed 100 * seed + 42), the calibration constant and the
-  worst |F_est - F_true| over stages with F_true >= 0.98.
+  virtual runs (seed 100 * seed + 42), each virtual run's final F and tail
+  ratio, their mean (the calibration constant), spread and median, and the
+  worst |F_est - F_true| over stages with F_true >= 0.98 (None when no
+  stage reaches 0.98).
 * ``qudit``: random D=2 targets (``mps._gaussian_chain``, seed 5) with
   q=3 N=6 and q=4 N=5, read through ``target.path``, trained to 6000 shots.
 * ``random10``: three of criterion 6's bond-suite runs (Random N=10,
@@ -124,7 +126,10 @@ def _w10_record(seed, history, model):
         "seed": seed, "f_true": history[-1].f_true, "sweeps": sum(rec.sweeps for rec in history),
         "alpha_real": fit_real.alpha, "alpha_succ": fit_succ.alpha,
         "c_mean": calibration.mean, "c_std": calibration.std,
-        "f_est_err_max": max(errors), "f_est_stages": len(errors),
+        "c_median": statistics.median(calibration.values),
+        "virtual_f_true": [h[-1].f_true for h in calibration.histories],
+        "virtual_tail_ratio": calibration.values,
+        "f_est_err_max": max(errors, default=None), "f_est_stages": len(errors),
     }
 
 

@@ -98,8 +98,10 @@ def map_runs(fn, args) -> list:
     With two or more CPUs and runs, every call runs in a worker, and the
     caller only hands out runs and waits.  ``fn`` must be importable in a
     worker, which has numpy and mpstomo only: a module-level function of
-    mpstomo, say.  If calls raise, every call handed out finishes, no
-    further one starts, and the exception of the first failed call in
+    mpstomo, say; a call whose ``fn`` a worker cannot import fails with the
+    worker's unpickling error, an ``AttributeError`` for a function of the
+    caller's ``__main__``.  If calls raise, every call handed out finishes,
+    no further one starts, and the exception of the first failed call in
     argument order is raised, as a serial loop would.  Workers are reaped
     on every path the caller survives, an interrupt included; a worker
     whose caller is killed outright finishes the run it holds and then
@@ -150,7 +152,9 @@ def map_runs(fn, args) -> list:
 def serve() -> None:
     """Worker loop: read pickled ``(fn, arg)`` pairs from stdin until it
     closes, and write ``(ok, fn(arg) or its exception, traceback)`` for each,
-    pickled, to stdout."""
+    pickled, to stdout.  A pair that cannot be unpickled here, say a
+    function of the caller's ``__main__``, is answered with the unpickling
+    error, after which the worker reads no further call."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller reaps its workers
     inp, out = sys.stdin.buffer, sys.stdout.buffer
     sys.stdout = sys.stderr  # stdout carries replies only
@@ -159,13 +163,22 @@ def serve() -> None:
             fn, arg = pickle.load(inp)
         except EOFError:
             return
-        try:
-            reply = (True, fn(arg), None)
-        except Exception as exc:  # sent to the caller, which raises it
-            reply = (False, exc, traceback.format_exc())
+        except Exception as exc:  # fn or arg cannot be imported here
+            readable, reply = False, (False, exc, traceback.format_exc())
+        else:
+            readable = True
+            try:
+                reply = (True, fn(arg), None)
+            except Exception as exc:  # sent to the caller, which raises it
+                reply = (False, exc, traceback.format_exc())
         reply = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
         try:
             out.write(reply)
             out.flush()
         except BrokenPipeError:  # the caller is gone
+            return
+        if not readable:
+            # the rest of this call cannot be parsed: read it all, so that the
+            # caller's send completes, until the caller closes the pipe
+            inp.read()
             return

@@ -276,7 +276,9 @@ def run_scaling_suite(kind, grid, config, n_seeds=8, out_path=None) -> SuiteResu
     the run configs are known to be valid.
     The runs are spread over the CPUs this process may use (see
     ``mpstomo.parallel``); the result is that of running them one after
-    another.
+    another.  The longest runs are handed out first: grid values from the
+    largest down, seeds in order within a value.  If several runs fail, the
+    error raised is that of the first failed run in that order.
     """
     from .parallel import map_runs
 
@@ -293,7 +295,10 @@ def run_scaling_suite(kind, grid, config, n_seeds=8, out_path=None) -> SuiteResu
         c.validate()
     if out_path is not None:
         Path(out_path).parent.mkdir(parents=True, exist_ok=True)
-    demand = map_runs(_suite_run, configs)
+    order = sorted(range(len(configs)), key=lambda i: -grid[i // n_seeds])
+    demand = [None] * len(configs)
+    for i, v in zip(order, map_runs(_suite_run, [configs[i] for i in order])):
+        demand[i] = v
     rows = []
     for gi, value in enumerate(grid):
         runs = demand[gi * n_seeds : (gi + 1) * n_seeds]

@@ -234,71 +234,51 @@ def _optimize_bond(obj, merged, config):
     return merged
 
 
-class _SweepEngine:
-    """Mutable sweep state: tensor chain plus cached shot environments.
-    Between sweeps the canonical center is at site 0."""
-
-    def __init__(self, mps, dataset, config):
-        config.validate()
-        if mps.n_sites < 2:
-            raise ParameterError("training needs at least 2 sites")
-        # canonicalize returns a state that owns its arrays, so the engine may too
-        self.tensors, self.rows = _tensors_and_rows(mps.canonicalize(0), dataset)
-        self.n = mps.n_sites
-        self.cfg = config
-        # per-shot environments by site: left[j] contracts sites 0 .. j-1 and
-        # right[j] sites j .. N-1, each with its rotation rows; bond k reads
-        # left[k] and right[k + 2]
-        edge = np.ones((len(dataset), 1), dtype=np.complex128)
-        self.left = {0: edge}
-        self.right = {self.n: edge}
-        for j in range(self.n - 1, 1, -1):
-            self.right[j] = _contract_right(self.tensors[j], self.rows[j], self.right[j + 1])
-
-    def _train_bond(self, k, lam, move):
-        cfg = self.cfg
-        obj = BondObjective(self.left[k], self.rows[k], self.rows[k + 1], self.right[k + 2], lam)
-        merged = _optimize_bond(obj, merge_two_site(self.tensors[k], self.tensors[k + 1]), cfg)
-        merged /= np.linalg.norm(merged)
-        d1, q, _, d2 = merged.shape
-        eta = _bond_eta(cfg, d1, q, d2, obj.count)
-        self.tensors[k], self.tensors[k + 1], _ = split_two_site(merged, cfg.d_cap, eta, move)
-
-    def sweep(self, lam) -> LossReport:
-        """One full left-to-right-to-left pass at penalty weight ``lam``,
-        reported with the entropy across bond 0, where it parks the center.
-        An environment is contracted only where the next bond reads it."""
-        t, rows, last = self.tensors, self.rows, self.n - 2
-        for k in range(last):
-            self._train_bond(k, lam, "right")
-            self.left[k + 1] = _contract_left(self.left[k], t[k], rows[k])
-        # the turn: the last bond is trained again next, on the same environments
-        self._train_bond(last, lam, "left")
-        for k in range(last, 0, -1):
-            self._train_bond(k, lam, "left")
-            self.right[k + 1] = _contract_right(t[k + 1], rows[k + 1], self.right[k + 2])
-        self._train_bond(0, lam, "left")
-        penalty = self.to_mps().renyi2_entropy(0)
-        return LossReport(_chain_nll(self.tensors, self.rows), penalty, lam)
-
-    def to_mps(self) -> MatrixProductState:
-        return MatrixProductState(self.tensors, center=0)
-
-
 def train_stage(mps, dataset, config) -> tuple[MatrixProductState, list[LossReport]]:
     """Sweep with an annealed penalty until the total loss settles.
 
     Sweep t uses penalty weight lambda0 * lambda_decay**t.  Stops when the
     relative change of the total loss drops below convergence_tol or after
     sweeps_per_stage sweeps; the appended final report is the last sweep's
-    nll and penalty at lam = 0.
+    nll and penalty at lam = 0.  Each sweep is a left-to-right-to-left pass
+    that parks the canonical center at site 0 and reports the entropy
+    across bond 0.
     """
-    engine = _SweepEngine(mps, dataset, config)
-    history = []
-    lam = float(config.lambda0)
-    prev = None
+    config.validate()
+    if mps.n_sites < 2:
+        raise ParameterError("training needs at least 2 sites")
+    # canonicalize returns a state that owns its arrays, so the stage may too
+    tensors, rows = _tensors_and_rows(mps.canonicalize(0), dataset)
+    last = mps.n_sites - 2
+    # per-shot environments, one per site: bond k reads env[k] (sites 0 .. k-1
+    # contracted with their rows) and env[k + 2] (sites k+2 .. N-1).  Each pass
+    # overwrites env[k + 1] with the side the next bond reads, so none is kept
+    # past the last bond that reads it.
+    env = [np.ones((len(dataset), 1), dtype=np.complex128)] * (mps.n_sites + 1)
+    for j in range(mps.n_sites - 1, 1, -1):
+        env[j] = _contract_right(tensors[j], rows[j], env[j + 1])
+
+    def train_bond(k, lam, move):
+        obj = BondObjective(env[k], rows[k], rows[k + 1], env[k + 2], lam)
+        merged = _optimize_bond(obj, merge_two_site(tensors[k], tensors[k + 1]), config)
+        merged /= np.linalg.norm(merged)
+        d1, q, _, d2 = merged.shape
+        eta = _bond_eta(config, d1, q, d2, obj.count)
+        tensors[k], tensors[k + 1], _ = split_two_site(merged, config.d_cap, eta, move)
+
+    history, lam, prev = [], float(config.lambda0), None
     for _ in range(config.sweeps_per_stage):
-        rep = engine.sweep(lam)
+        for k in range(last):
+            train_bond(k, lam, "right")
+            env[k + 1] = _contract_left(env[k], tensors[k], rows[k])
+        # the turn: the last bond is trained again next, on the same environments
+        train_bond(last, lam, "left")
+        for k in range(last, 0, -1):
+            train_bond(k, lam, "left")
+            env[k + 1] = _contract_right(tensors[k + 1], rows[k + 1], env[k + 2])
+        train_bond(0, lam, "left")
+        model = MatrixProductState(tensors, center=0)
+        rep = LossReport(_chain_nll(tensors, rows), model.renyi2_entropy(0), lam)
         history.append(rep)
         if prev is not None:
             if abs(rep.total - prev) <= config.convergence_tol * max(1.0, abs(prev)):
@@ -306,4 +286,4 @@ def train_stage(mps, dataset, config) -> tuple[MatrixProductState, list[LossRepo
         prev = rep.total
         lam *= config.lambda_decay
     history.append(LossReport(rep.nll, rep.penalty, 0.0))
-    return engine.to_mps(), history
+    return model, history

@@ -1,6 +1,7 @@
 """Runs spread over the CPUs give the bytes of a serial loop, raise its
 errors, and leave no worker process behind."""
 
+import json
 import os
 import re
 import signal
@@ -143,6 +144,47 @@ def test_worker_that_dies_mid_run_raises(started):
         parallel.map_runs(os._exit, [3, 3, 0])
     assert time.monotonic() - t0 < 10
     assert started and all(w.proc.returncode is not None for w in started)
+
+
+UNIMPORTABLE_FN_SCRIPT = """\
+import json
+from mpstomo import parallel
+
+started, start = [], parallel._Worker
+parallel._Worker = lambda: started.append(start()) or started[-1]
+
+
+def double(x):
+    return x + x
+
+
+try:
+    # the first call outgrows a pipe's buffer: its worker must read on past
+    # the function it cannot load for the send to complete
+    parallel.map_runs(double, ["x" * 1_000_000, "y", "z"])
+except Exception as exc:
+    print(json.dumps({
+        "class": type(exc).__name__, "message": str(exc), "cause": str(exc.__cause__),
+        "started": len(started), "reaped": all(w.proc.returncode is not None for w in started),
+    }))
+"""
+
+
+@multi_cpu
+def test_function_workers_cannot_import_raises_their_error(tmp_path):
+    # double lives in the script's __main__, which a worker never imports
+    script = tmp_path / "double.py"
+    script.write_text(UNIMPORTABLE_FN_SCRIPT)
+    done = subprocess.run(
+        [sys.executable, str(script)], env=dict(os.environ, PYTHONPATH=PACKAGE_PARENT),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    raised = json.loads(done.stdout)
+    assert raised["class"] == "AttributeError"
+    assert "Can't get attribute 'double'" in raised["message"]
+    assert "Traceback" in raised["cause"] and "pickle.load" in raised["cause"]
+    assert raised["started"] == 2 and raised["reaped"]
 
 
 def test_worker_that_exited_before_its_first_run_raises(started, monkeypatch):

@@ -1,5 +1,5 @@
-"""The multi-seed quality script gives the same W8 records on every pass and
-runs only the sets it knows."""
+"""The multi-seed quality script gives the same W8 records on every pass,
+runs only the sets it knows, and records a W10 run that never converges."""
 
 import importlib.util
 from pathlib import Path
@@ -41,3 +41,24 @@ def test_unknown_set_exits_2(tmp_path, capsys, sets, unknown):
     assert exc.value.code == 2
     assert f"unknown set {unknown!r}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_w10_record_of_a_run_that_never_reaches_098(monkeypatch):
+    # a run stuck below F 0.98 has no stage to score F_est on; its record
+    # says so, with each virtual run's F and tail ratio beside their mean
+    from mpstomo import StageRecord
+    from mpstomo.estimation import CalibrationResult
+
+    history = [
+        StageRecord(v, 1.0, r_real=0.5 * v**-0.5, r_succ=2.0 / v, f_true=0.5, sweeps=3)
+        for v in (500, 1000, 2000, 4000, 8000)
+    ]
+    virtual = [[StageRecord(8000, 1.0, f_true=f)] for f in (0.97, 0.06, 0.96)]
+    calibration = CalibrationResult(6.2, 10.4, [0.2, 18.1, 0.3], virtual)
+    monkeypatch.setattr(quality, "run_virtual", lambda *args, **kw: calibration)
+    record = quality._w10_record(42, history, None)
+    assert record["f_est_err_max"] is None and record["f_est_stages"] == 0
+    assert record["virtual_f_true"] == [0.97, 0.06, 0.96]
+    assert record["virtual_tail_ratio"] == [0.2, 18.1, 0.3]
+    assert record["c_mean"] == 6.2 and record["c_median"] == 0.3
+    assert record["sweeps"] == 15 and record["alpha_real"] == pytest.approx(-0.5)

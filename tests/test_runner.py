@@ -266,6 +266,23 @@ class TestScalingSuite:
         assert row.std_replicas == 0.0
         assert (tmp_path / "suite.csv").exists()
 
+    def test_longest_runs_start_first_and_rows_keep_grid_order(self, monkeypatch):
+        from mpstomo import parallel
+
+        cfg = small_config()
+        handed = []
+
+        def record(fn, configs):
+            handed.extend((c.target.n_sites, (c.seed - cfg.seed) % 997) for c in configs)
+            return [10 * n + s for n, s in handed]
+
+        monkeypatch.setattr(parallel, "map_runs", record)
+        result = run_scaling_suite("size", [3, 5, 4], cfg, n_seeds=2)
+        assert handed == [(5, 0), (5, 1), (4, 0), (4, 1), (3, 0), (3, 1)]
+        assert [(r.value, r.mean_replicas) for r in result.rows] == [
+            (3, 30.5), (5, 50.5), (4, 40.5),
+        ]
+
     def test_empty_grid(self):
         with pytest.raises(ParameterError):
             run_scaling_suite("size", [], small_config())

@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -242,6 +243,28 @@ class TestSweep:
         # left: 4 in the sweep and 6 for its whole-chain NLL; right: 4 to
         # seed the stage and 4 in the sweep, none past the last bond read
         assert calls == {"left": 10, "right": 8}
+
+    def test_keeps_one_environment_per_site(self, rng, monkeypatch):
+        # every environment a contraction returns is watched until it is
+        # freed; a stage holds one per site, the two edges aside, and the
+        # end-of-sweep NLL at most two more while it contracts the chain
+        refs, peak = [], [0]
+        for side in ("left", "right"):
+            contract = getattr(training, f"_contract_{side}")
+
+            def watched(*args, contract=contract):
+                env = contract(*args)
+                refs.append(weakref.ref(env))
+                peak[0] = max(peak[0], sum(ref() is not None for ref in refs))
+                return env
+
+            monkeypatch.setattr(training, f"_contract_{side}", watched)
+        n = 8
+        ds = measure_batch(w_state(n, 0.0), 200, 0.0, rng)
+        cfg = TrainConfig(d_cap=4, sweeps_per_stage=2, convergence_tol=1e-12)
+        _, history = train_stage(random_init(n, 2, 2, seed=1), ds, cfg)
+        assert len(history) == 3
+        assert peak[0] <= n + 1
 
     def test_canonical_invariants_after_sweep(self, rng):
         target = w_state(5, 0.0)
