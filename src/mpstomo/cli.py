@@ -12,7 +12,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import ExperimentConfig, build_experiment_config, load_config
+from .config import ExperimentConfig, build_experiment_config, config_to_text, load_config
 from .errors import ParameterError, ResourceError, TomographyError
 from .estimation import fit_power_law, run_virtual
 from .mps import load_mps
@@ -86,6 +86,8 @@ def _cmd_suite(args) -> int:
 def _cmd_virtual(args) -> int:
     cfg = _config_from_args(args)
     trained = load_mps(args.model)
+    # each run.cfg names the model; the runs' configs differ only in seed and flags
+    config_to_text(replace(cfg, target=args.model, output_dir=None))
     result = run_virtual(trained, cfg, n_runs=args.runs, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import MISSING, astuple, dataclass, fields, replace
 from pathlib import Path
 
@@ -81,9 +82,10 @@ def run_tomography(config: ExperimentConfig):
     model = random_init(n, q, _INIT_BOND_DIM, seed=config.seed)
     dataset = Dataset(n, q)
     history: list[StageRecord] = []
-    prev_model = None
+    prev_model = prev_signal = None
     batch = config.batch_initial
-    consecutive = 0
+    if config.output_dir is not None:
+        config_to_text(config)  # a config run.cfg cannot hold raises before the first stage
     while len(dataset) < config.max_replicas:
         count = min(batch, config.max_replicas - len(dataset))
         dataset.extend(measure_batch(target, count, config.noise_epsilon, shot_rng))
@@ -112,12 +114,9 @@ def run_tomography(config: ExperimentConfig):
         rec.alpha_succ = _try_fit(history, "r_succ")
         prev_model = model
         signal = rec.f_est if config.blind else rec.f_true
-        if signal is not None and signal >= config.fidelity_threshold:
-            consecutive += 1
-        else:
-            consecutive = 0
-        if config.stop_on_threshold and consecutive >= 2:
+        if config.stop_on_threshold and _stable(prev_signal, signal, config.fidelity_threshold):
             break
+        prev_signal = signal
         # capped before rounding: a large batch_growth overflows to inf
         batch = max(1, int(round(min(batch * config.batch_growth, config.max_replicas))))
         if config.batch_max > 0:
@@ -127,14 +126,18 @@ def run_tomography(config: ExperimentConfig):
     return history, model
 
 
+def _stable(a, b, threshold) -> bool:
+    """Whether two consecutive stages' fidelities are both at or above ``threshold``."""
+    return None not in (a, b) and min(a, b) >= threshold
+
+
 def replicas_to_threshold(history, threshold):
     """Replica count at the first stage of the earliest pair of consecutive
     stages with the true fidelity at or above ``threshold``; None if it
     never stabilized."""
-    for i in range(len(history) - 1):
-        a, b = history[i].f_true, history[i + 1].f_true
-        if a is not None and b is not None and a >= threshold and b >= threshold:
-            return history[i].replicas
+    for a, b in zip(history, history[1:]):
+        if _stable(a.f_true, b.f_true, threshold):
+            return a.replicas
     return None
 
 
@@ -154,21 +157,22 @@ def _history_header() -> tuple[str, ...]:
 
 
 def _write_csv(path, header, rows) -> None:
+    """Write ``header`` and ``rows`` of raw values, each cell through ``_fmt``."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows(map(_fmt, row) for row in rows)
 
 
 def write_history(path, history) -> None:
     names = scalar_fields(StageRecord)
-    rows = ([i, *(_fmt(getattr(rec, name)) for name in names)] for i, rec in enumerate(history))
+    rows = ([i, *(getattr(rec, name) for name in names)] for i, rec in enumerate(history))
     _write_csv(path, _history_header(), rows)
 
 
 def write_loss_history(path, reports) -> None:
     """Per-sweep loss breakdown: sweep, lambda, nll, penalty, total."""
-    rows = ([i, *map(_fmt, (r.lam, r.nll, r.penalty, r.total))] for i, r in enumerate(reports))
+    rows = ([i, r.lam, r.nll, r.penalty, r.total] for i, r in enumerate(reports))
     _write_csv(path, ("sweep", "lambda", "nll", "penalty", "total"), rows)
 
 
@@ -317,10 +321,10 @@ def run_scaling_suite(kind, grid, config, n_seeds=8, out_path=None) -> SuiteResu
             exponent = float(slope)
     result = SuiteResult(kind, rows, exponent)
     if out_path is not None:
-        lines = [list(map(_fmt, astuple(r))) for r in rows]
+        lines = [astuple(r) for r in rows]
         if exponent is not None:
-            lines.append(["exponent", _fmt(exponent), "", "", ""])
-        header = [kind, "mean_replicas", "std_replicas", "n_converged", "n_failed"]
+            lines.append(["exponent", exponent, None, None, None])
+        header = [kind, *(f.name for f in fields(SuiteRow)[1:])]
         _write_csv(out_path, header, lines)
     return result
 
@@ -329,13 +333,11 @@ def run_scaling_suite(kind, grid, config, n_seeds=8, out_path=None) -> SuiteResu
 
 
 def _read_run_dir(path):
-    """(history, config, source) of a run directory; config is None when
-    it has no ``run.cfg``, whose bad keys and values raise ParameterError."""
+    """(history, config, source) of a run directory; bad keys and values of
+    its ``run.cfg`` raise ParameterError, and a missing one raises OSError."""
     path = Path(path)
     history = read_history(path / "history.csv")
     cfg_file = path / "run.cfg"
-    if not cfg_file.exists():
-        return history, None, "real"
     meta = parse_config_text("".join(utf8_lines(cfg_file)), str(cfg_file))
     try:
         cfg = build_experiment_config(meta)
@@ -344,85 +346,60 @@ def _read_run_dir(path):
     return history, cfg, meta.get("source", "real")
 
 
+_SUMMARY = ("run", "source", "kind", "n", "d_max", "epsilon", "threshold",
+            "replicas_to_threshold", "replicas_total", "f_true", "f_per_site", "f_est")
+
+
 def report(run_dirs, out_dir) -> dict[str, Path]:
     """Summaries and figure-ready data series from finished run directories.
 
     Emits summary.csv plus per-figure series: replica demand versus system
     size (fig2), versus target bond dimension (fig3), stagewise distances
     and their ratio with a real/virtual source column (fig4), and replica
-    demand versus noise level (fig5).  Virtual runs appear in summary.csv
-    and fig4 only: fig2, fig3 and fig5 have no source column and hold the
-    replica demand of real runs.
+    demand versus noise level (fig5).  fig2, fig3 and fig5 are columns of
+    the summary rows of real runs with a TargetSpec target that reached the
+    threshold; virtual runs appear in summary.csv and fig4 only.  A run is
+    named by its path relative to the deepest directory holding them all.
     """
     dirs = [Path(d) for d in run_dirs]
     if not dirs:
         raise ParameterError("no run directories given")
-    summary_rows = []
-    fig2, fig3, fig4, fig5 = [], [], [], []
+    root = os.path.commonpath([os.path.dirname(os.path.abspath(d)) for d in dirs])
+    summary, fig4 = [], []
     for d in dirs:
         history, cfg, source = _read_run_dir(d)
-        spec = getattr(cfg, "target", None)
-        kind, n_sites, d_max = (
-            (spec.kind, spec.n_sites, spec.d_max) if isinstance(spec, TargetSpec) else ("", "", "")
-        )
-        eps = "" if cfg is None else _fmt(cfg.noise_epsilon)
-        thr = (cfg or ExperimentConfig()).fidelity_threshold
-        reached = replicas_to_threshold(history, thr)
-        last = history[-1]
-        f_ps = None
-        if last.f_true is not None and n_sites:
-            f_ps = per_site_fidelity(last.f_true, n_sites)
-        summary_rows.append(
-            [
-                d.name,
-                source,
-                kind,
-                n_sites,
-                d_max,
-                eps,
-                _fmt(thr),
-                _fmt(reached),
-                last.replicas,
-                _fmt(last.f_true),
-                _fmt(f_ps),
-                _fmt(last.f_est),
-            ]
-        )
+        name, last = os.path.relpath(d, root), history[-1]
+        spec = cfg.target if isinstance(cfg.target, TargetSpec) else None
+        n = spec and spec.n_sites
+        f_ps = None if last.f_true is None or not n else per_site_fidelity(last.f_true, n)
+        thr = cfg.fidelity_threshold
+        summary.append(dict(zip(_SUMMARY, (
+            name, source, spec and spec.kind, n, spec and spec.d_max, cfg.noise_epsilon, thr,
+            replicas_to_threshold(history, thr), last.replicas, last.f_true, f_ps, last.f_est,
+        ))))
         for i, rec in enumerate(history):
-            ratio = (
-                rec.r_real**2 / rec.r_succ
-                if rec.r_real is not None and rec.r_succ not in (None, 0.0)
-                else None
-            )
-            fig4.append(
-                [
-                    d.name,
-                    source,
-                    i,
-                    rec.replicas,
-                    _fmt(rec.r_real),
-                    _fmt(rec.r_succ),
-                    _fmt(ratio),
-                ]
-            )
-        if reached is not None and kind and source != "virtual":
-            if kind == "Random":
-                fig3.append([n_sites, d_max, reached])
-            else:
-                fig2.append([kind, n_sites, _fmt(thr), reached])
-            fig5.append([kind, n_sites, eps, reached])
+            ratio = None
+            if rec.r_real is not None and rec.r_succ not in (None, 0.0):
+                ratio = rec.r_real**2 / rec.r_succ
+            fig4.append([name, source, i, rec.replicas, rec.r_real, rec.r_succ, ratio])
+    demand = [
+        r for r in summary
+        if r["source"] != "virtual" and r["kind"] and r["replicas_to_threshold"] is not None
+    ]
+    sized = [r for r in demand if r["kind"] != "Random"]
+    random = [r for r in demand if r["kind"] == "Random"]
+
+    def series(cols, runs):  # summary columns, then replicas_to_threshold as "replicas"
+        return (*cols, "replicas"), [[r[c] for c in (*cols, "replicas_to_threshold")] for r in runs]
+
     tables = {
-        "summary.csv": (
-            ["run", "source", "kind", "n", "d_max", "epsilon", "threshold",
-             "replicas_to_threshold", "replicas_total", "f_true", "f_per_site", "f_est"],
-            summary_rows,
-        ),
-        "fig2_size.csv": (["kind", "n", "threshold", "replicas"], fig2),
-        "fig3_bond.csv": (["n", "d_max", "replicas"], fig3),
+        "summary.csv": (_SUMMARY, [r.values() for r in summary]),
+        "fig2_size.csv": series(("kind", "n", "threshold"), sized),
+        "fig3_bond.csv": series(("n", "d_max"), random),
         "fig4_convergence.csv": (
-            ["run", "source", "stage", "replicas", "r_real", "r_succ", "ratio"], fig4
+            ("run", "source", "stage", "replicas", "r_real", "r_succ", "ratio"), fig4
         ),
-        "fig5_noise.csv": (["kind", "n", "epsilon", "replicas"], fig5),
+        "fig5_noise.csv": series(("kind", "n", "epsilon"), demand),
     }
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -129,6 +129,7 @@ class BondObjective:
     def __init__(self, left, row_a, row_b, right, penalty_weight):
         """The objective at a bond with per-shot ``left`` (|V|, D1) and
         ``right`` (|V|, D2) environments and the two sites' rotation rows."""
+        # a method of its own because bench/tracing.py patches it as training.bond_env
         self._init_from_parts(left, row_a, row_b, right, penalty_weight)
 
     def _init_from_parts(self, left, row_a, row_b, right, penalty_weight):

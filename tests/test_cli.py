@@ -155,6 +155,19 @@ class TestTomoCommand:
         assert rc == 2
         assert "norm 1e+150" in capsys.readouterr().err
 
+    def test_unwritable_out_exit_code_before_training(self, tmp_path, monkeypatch, capsys):
+        # run.cfg echoes output_dir, and ' #' would start a comment there
+        cfg = write_cfg(tmp_path / "exp.cfg", BASE_CFG)
+
+        def no_stage(*args, **kwargs):
+            raise AssertionError("a stage was trained")
+
+        monkeypatch.setattr("mpstomo.runner.train_stage", no_stage)
+        out = tmp_path / "a #b"
+        assert main(["tomo", "--config", cfg, "--seed", "4", "--out", str(out)]) == 2
+        assert "cannot be written to a config file" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mandatory_seed_and_out(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "exp.cfg", BASE_CFG)
         with pytest.raises(SystemExit) as err:
@@ -268,6 +281,16 @@ class TestReportCommand:
         assert main(["report", "--runs", str(run), "--out", str(tmp_path / "rep")]) == 2
         assert f"{history}: line 1: unexpected header" in capsys.readouterr().err
 
+    def test_report_without_run_cfg_exit_code(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "exp.cfg", BASE_CFG)
+        run = tmp_path / "r"
+        assert main(["tomo", "--config", cfg, "--seed", "4", "--out", str(run)]) == 0
+        (run / "run.cfg").unlink()
+        capsys.readouterr()
+        assert main(["report", "--runs", str(run), "--out", str(tmp_path / "rep")]) == 2
+        assert str(run / "run.cfg") in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
+
     def test_report_empty_dir(self, tmp_path):
         (tmp_path / "empty").mkdir()
         rc = main(["report", "--runs", str(tmp_path / "empty"), "--out", str(tmp_path / "rep")])
@@ -372,20 +395,26 @@ class TestVirtualCommand:
             assert main(["tomo", "--config", str(echoed), "--seed", str(9 + i), "--out", str(again)]) == 0
             assert (again / "history.csv").read_bytes() == (echoed.parent / "history.csv").read_bytes()
 
-    def test_unwritable_model_path_exit_code(self, tmp_path, capsys):
-        # ' #' starts a comment, so run.cfg could not name this model
+    def test_unwritable_model_path_exit_code(self, tmp_path, monkeypatch, capsys):
+        # ' #' starts a comment, so run.cfg could not name this model; that
+        # is known before the first virtual run and before --out is made
         cfg = write_cfg(tmp_path / "exp.cfg", BASE_CFG)
         model = tmp_path / "a #b" / "w4.mps"
         model.parent.mkdir()
         w_state(4, 0.1).save(model)
         virt = tmp_path / "virt"
+
+        def no_runs(*args, **kwargs):
+            raise AssertionError("virtual runs started")
+
+        monkeypatch.setattr("mpstomo.cli.run_virtual", no_runs)
         rc = main([
             "virtual", "--model", str(model), "--config", cfg,
-            "--runs", "1", "--seed", "9", "--out", str(virt),
+            "--runs", "2", "--seed", "9", "--out", str(virt),
         ])
         assert rc == 2
         assert "cannot be written to a config file" in capsys.readouterr().err
-        assert not (virt / "virtual_00").exists()
+        assert not virt.exists()
 
     def test_unnormalized_model_exit_code(self, tmp_path, capsys):
         save_scaled_w4(tmp_path / "scaled.mps")

@@ -1,3 +1,4 @@
+import csv
 import filecmp
 from dataclasses import fields
 from typing import get_args, get_type_hints
@@ -339,6 +340,58 @@ class TestReport:
         assert replicas_to_threshold(history, cfg.fidelity_threshold) is not None
         for name in ("fig2_size.csv", "fig5_noise.csv"):
             assert len(out[name].read_text().splitlines()) == 2, name
+
+    @staticmethod
+    def _synthetic_run(path, f_true, source="real", **kw):
+        """A run directory with a two-stage history and no training."""
+        history = [
+            StageRecord(replicas=20, nll=1.0, f_true=f_true),
+            StageRecord(replicas=50, nll=0.9, f_true=f_true),
+        ]
+        write_run_dir(path, small_config(**kw), history, source=source)
+
+    @staticmethod
+    def _table(path):
+        with open(path, newline="") as f:
+            return list(csv.DictReader(f))
+
+    def test_runs_of_different_directories_keep_distinct_names(self, tmp_path):
+        for parent in ("a", "b"):
+            self._synthetic_run(tmp_path / parent / "x", 0.95)
+        out = report([tmp_path / "a" / "x", tmp_path / "b" / "x"], tmp_path / "out")
+        assert [r["run"] for r in self._table(out["summary.csv"])] == ["a/x", "b/x"]
+        fig4 = self._table(out["fig4_convergence.csv"])
+        assert [r["run"] for r in fig4] == ["a/x", "a/x", "b/x", "b/x"]
+        # runs sharing one parent keep their directory names
+        out = report([tmp_path / "a" / "x"], tmp_path / "out1")
+        assert [r["run"] for r in self._table(out["summary.csv"])] == ["x"]
+
+    def test_replica_demand_series_are_summary_columns(self, tmp_path):
+        runs = {
+            "w": dict(f_true=0.95),
+            "rand": dict(f_true=0.97, target=TargetSpec("Random", 4, d_max=2)),
+            "cluster": dict(f_true=0.5, target=TargetSpec("Cluster", 4), noise_epsilon=0.1),
+            "path": dict(f_true=0.99, target="w4.mps"),
+            "virt": dict(f_true=0.99, source="virtual"),
+        }
+        for name, kw in runs.items():
+            self._synthetic_run(tmp_path / name, **kw)
+        out = report([tmp_path / name for name in runs], tmp_path / "out")
+        summary = {r["run"]: r for r in self._table(out["summary.csv"])}
+        assert summary["w"]["replicas_to_threshold"] == "20"
+        assert summary["cluster"]["replicas_to_threshold"] == ""
+        series = {
+            "fig2_size.csv": ["w"],
+            "fig3_bond.csv": ["rand"],
+            "fig5_noise.csv": ["w", "rand"],
+        }
+        for file, names in series.items():
+            rows = self._table(out[file])
+            assert len(rows) == len(names), file
+            for row, name in zip(rows, names):
+                for col, value in row.items():
+                    source = "replicas_to_threshold" if col == "replicas" else col
+                    assert value == summary[name][source], (file, col)
 
     def test_malformed_history_line_number(self, tmp_path):
         self._make_run(tmp_path, "r1")
